@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import numpy as np
@@ -21,10 +22,24 @@ CALIBRATION_SEQUENCES = 32
 CALIBRATION_SEQ_LEN = 32
 
 
+def results_dir() -> pathlib.Path:
+    """Where a benchmark writes what it regenerates.
+
+    The tracked ``benchmarks/results/`` only when ``MILO_UPDATE_RESULTS=1``;
+    otherwise the git-ignored ``benchmarks/results/latest/``, so an ordinary
+    test run leaves the tracked tree clean (several tables carry wall-clock
+    columns that change on every run).
+    """
+    if os.environ.get("MILO_UPDATE_RESULTS") == "1":
+        return RESULTS_DIR
+    return RESULTS_DIR / "latest"
+
+
 def save_result(name: str, text: str) -> None:
-    """Print a regenerated table and persist it under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    """Print a regenerated table and persist it under :func:`results_dir`."""
+    out_dir = results_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{name}.txt").write_text(text + "\n")
     print("\n" + text)
 
 
@@ -65,6 +80,7 @@ def compress_model(
 
 
 __all__ = [
+    "results_dir",
     "save_result",
     "compress_model",
     "calibration_tokens",

@@ -6,8 +6,9 @@ convention is:
 * heavy work happens once inside ``benchmark.pedantic(..., rounds=1)`` so
   pytest-benchmark records the wall time without re-running the experiment;
 * the regenerated rows/series are printed and also written to
-  ``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md can reference
-  them;
+  ``benchmarks/results/latest/<experiment>.txt`` (git-ignored), or to the
+  tracked ``benchmarks/results/<experiment>.txt`` when
+  ``MILO_UPDATE_RESULTS=1`` is set;
 * each module asserts the *shape* of the paper's result (who wins, in which
   direction), never absolute values.
 """

@@ -22,8 +22,10 @@ backend (A100-40GB devices):
   excluded from the fast path), so this tracks the disagg hot path's
   throughput and pins its ``report_sha256``.
 
-Results land in ``benchmarks/results/BENCH_engine.json`` (schema
-``engine-speed/v1``, documented in ROADMAP.md):
+Results land in ``benchmarks/results/latest/BENCH_engine.json`` (git-ignored;
+``MILO_UPDATE_RESULTS=1`` writes the tracked
+``benchmarks/results/BENCH_engine.json`` instead), schema
+``engine-speed/v1``, documented in ROADMAP.md:
 
 * per scenario: wall seconds, simulated iterations, simulated tokens (and
   tokens/sec of wall time), requests/sec, peak RSS MB, completion counts,
@@ -66,7 +68,8 @@ import time
 from repro.runtime.backends import MiLoBackend
 from repro.serving import EngineConfig, ServingEngine, poisson_workload
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from _helpers import results_dir
+
 COMMITTED = pathlib.Path(__file__).parent / "BENCH_engine.json"
 
 #: Measured at the pre-PR commit (general per-iteration loop, list-sorted
@@ -185,8 +188,9 @@ def test_engine_replay_speed():
             name: _run_scenario(name, scenario) for name, scenario in SCENARIOS.items()
         },
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out_path = RESULTS_DIR / "BENCH_engine.json"
+    out_dir = results_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / "BENCH_engine.json"
     out_path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {out_path}")
     for name, row in results["scenarios"].items():

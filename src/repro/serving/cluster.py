@@ -536,6 +536,11 @@ class ShardedBlockManager:
     def cow_copies(self) -> int:
         return sum(pool.cow_copies for pool in self.pools)
 
+    @property
+    def rises(self) -> int:
+        """Sum of the pools' monotone rise counters (see ``BlockManager.rises``)."""
+        return sum(pool.rises for pool in self.pools)
+
     def num_blocks_on(self, device: int) -> int:
         return self.pools[device].num_blocks
 
@@ -556,6 +561,12 @@ class ShardedBlockManager:
     def shared_blocks_held(self, seq_id: int) -> int:
         device = self._home.get(seq_id)
         return self.pools[device].shared_blocks_held(seq_id) if device is not None else 0
+
+    def writable_in_place(self, seq_id: int, token_index: int) -> bool:
+        device = self._home.get(seq_id)
+        return device is not None and self.pools[device].writable_in_place(
+            seq_id, token_index
+        )
 
     def block_table(self, seq_id: int) -> tuple[int, ...]:
         device = self._home.get(seq_id)
@@ -657,7 +668,9 @@ class ShardedBlockManager:
         migrant's copies on the destination are private (block identity never
         spans devices).  Raises :class:`KVCacheExhausted` if the destination
         cannot hold the table; the manager state is unchanged in that case.
-        Returns the number of blocks now held on ``dst``.
+        Returns the number of blocks now held on ``dst``.  The table keeps
+        its length and every block of it is private, so a sequence's
+        recorded writable extent stays valid across the move.
         """
         if self._home.get(seq_id) != src:
             raise KVCacheExhausted(

@@ -357,9 +357,11 @@ class EngineConfig:
     #: ``overlap=True``.
     replacement_threshold: float | None = None
     #: Run the KV pool's structural self-checks (``assert_no_leaks`` /
-    #: ``check_invariants``) at the end of every run.  On by default (and in
-    #: every test); benchmarks turn it off — it never changes the report,
-    #: only whether accounting bugs raise.
+    #: ``check_invariants``) at the end of every run, and audit at every
+    #: boundary that each sequence the on-demand capacity walk skips writes
+    #: into a private block it already holds.  On by default (and in every
+    #: test); benchmarks turn it off — it never changes the report, only
+    #: whether accounting bugs raise.
     debug_checks: bool = True
     #: Use the steady-state fast path (reservation allocation + default
     #: scheduling policy only): uneventful pure-decode iterations are
@@ -377,7 +379,9 @@ class EngineConfig:
         if self.max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
         if self.admission not in ADMISSION_MODES:
-            raise ValueError(f"admission must be 'queue' or 'reject', got {self.admission!r}")
+            raise ValueError(
+                f"admission must be one of {ADMISSION_MODES}, got {self.admission!r}"
+            )
         if self.kv_policy not in ALLOCATION_POLICIES:
             raise ValueError(
                 f"kv_policy must be one of {sorted(ALLOCATION_POLICIES)}, got {self.kv_policy!r}"
@@ -766,6 +770,7 @@ class ServingEngine:
             allocation=make_allocation_policy(self.config.kv_policy, self.block_manager),
             policy=FifoPriorityPolicy(),
         )
+        scheduler.debug_checks = self.config.debug_checks
         if self._disagg:
             scheduler.prefill_pool = self._prefill_pool
             scheduler.decode_pool = self._decode_pool
@@ -1250,8 +1255,9 @@ class ServingEngine:
         Structurally the pre-PR-6 loop with the per-iteration work fused
         into one walk over the batch (token counting + per-device home
         tokens), the device cost loop memoized, eviction skipped on
-        iterations nothing finished, and ``ensure_capacity`` skipped for
-        non-growing allocation.
+        iterations nothing finished, ``ensure_capacity`` skipped for
+        non-growing allocation, and the KV peaks re-read only after the
+        pool's occupancy may have risen.
         """
         clock = 0.0
         next_arrival = 0
@@ -1295,6 +1301,8 @@ class ServingEngine:
         metrics_due = metrics.next_due if metrics is not None else float("inf")
         iter_t0 = 0.0
         iter_stall = 0.0
+        #: ``block_manager.rises`` at the last peak sample.
+        sampled_rises = -1
 
         while next_arrival < n_pending or scheduler.has_work:
             while next_arrival < n_pending and pending[next_arrival].arrival_time <= clock:
@@ -1418,17 +1426,23 @@ class ServingEngine:
                 )
             if batch > peak_batch:
                 peak_batch = batch
-            used = block_manager.used_blocks
-            if used > peak_used_blocks:
-                peak_used_blocks = used
-            shared = block_manager.shared_blocks
-            if shared > peak_shared_blocks:
-                peak_shared_blocks = shared
-            if multi:
-                for d in range(num_devices):
-                    u = block_manager.used_blocks_on(d)
-                    if u > peak_used_per_device[d]:
-                        peak_used_per_device[d] = u
+            rises = block_manager.rises
+            if rises != sampled_rises:
+                # Pool occupancy can only have risen since the last sample
+                # if a block was taken or newly shared; otherwise no peak
+                # can move and the aggregate reads are skipped.
+                sampled_rises = rises
+                used = block_manager.used_blocks
+                if used > peak_used_blocks:
+                    peak_used_blocks = used
+                shared = block_manager.shared_blocks
+                if shared > peak_shared_blocks:
+                    peak_shared_blocks = shared
+                if multi:
+                    for d in range(num_devices):
+                        u = block_manager.used_blocks_on(d)
+                        if u > peak_used_per_device[d]:
+                            peak_used_per_device[d] = u
 
             finished_any = False
             if disagg:

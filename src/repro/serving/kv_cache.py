@@ -130,6 +130,11 @@ class BlockManager:
         #: Blocks with refcount > 1, maintained at the 1<->2 transitions so
         #: the per-iteration :attr:`shared_blocks` probe is O(1).
         self._shared_count = 0
+        #: Bumped whenever :attr:`used_blocks` or :attr:`shared_blocks` may
+        #: have risen (a block taken off the free list, or a refcount going
+        #: from 1 to 2), so peak trackers can skip re-reading them while it
+        #: stands still.  Monotone; never reset.
+        self.rises = 0
         #: Optional telemetry sink (attached by
         #: :meth:`~repro.serving.engine.ServingEngine.enable_telemetry`) and
         #: this pool's device index in a sharded cluster (stamped by
@@ -228,6 +233,20 @@ class BlockManager:
             return 0
         return sum(1 for block_id in table if self._ref[block_id] > 1)
 
+    def writable_in_place(self, seq_id: int, token_index: int) -> bool:
+        """Whether a write at ``token_index`` needs no block and no bookkeeping.
+
+        True when the token lies inside the sequence's table in a block it
+        holds alone that is not in the prefix index — neither growth,
+        copy-on-write nor un-registration is due.  A pure query.
+        """
+        table = self._tables.get(seq_id)
+        idx = token_index // self.block_size
+        if table is None or idx >= len(table):
+            return False
+        block_id = table[idx]
+        return self._ref[block_id] == 1 and block_id not in self._prefix_key
+
     def block_table(self, seq_id: int) -> tuple[int, ...]:
         """The sequence's physical block ids, in token order (read-only view)."""
         return tuple(self._tables.get(seq_id, ()))
@@ -315,6 +334,7 @@ class BlockManager:
             self._ref[block_id] += 1
             if self._ref[block_id] == 2:
                 self._shared_count += 1
+                self.rises += 1
             table.append(block_id)
         for idx in range(hits, needed):
             block_id = self._take_free_block()
@@ -401,6 +421,7 @@ class BlockManager:
         block_id = self._free.pop()
         self._ref[block_id] = 1
         self.physical_allocs += 1
+        self.rises += 1
         return block_id
 
     def _take_free_blocks(self, n: int) -> list[int]:
@@ -422,6 +443,7 @@ class BlockManager:
         for block_id in taken:
             ref[block_id] = 1
         self.physical_allocs += n
+        self.rises += 1
         return taken
 
     def allocate(self, seq_id: int, num_tokens: int) -> int:
@@ -568,9 +590,16 @@ class AllocationPolicy(abc.ABC):
 
     The scheduler consults the policy at three points: request intake
     (:meth:`fits_at_all`), admission (:meth:`can_admit` / :meth:`admit`) and
-    every iteration boundary (:meth:`blocks_deficit` / :meth:`grow`, which
-    only the on-demand policy exercises).  :meth:`release` returns a
-    sequence's blocks on finish *or* preemption.
+    iteration boundaries (:meth:`blocks_deficit` / :meth:`grow`, which only
+    a growing policy exercises).  :meth:`release` returns a sequence's
+    blocks on finish *or* preemption.
+
+    A growing policy may record :attr:`Sequence.kv_writable_extent` once a
+    sequence's write block is secured; the scheduler then skips the
+    sequence at boundaries until its next write leaves that extent.
+    :meth:`admit` and :meth:`release` reset it, since both replace the
+    block table.  A policy that never records an extent has every running
+    sequence visited at every boundary.
 
     Requests carrying a ``prefix_id`` are admitted through the pool's
     prefix-sharing path in either policy; requests without one take the
@@ -636,6 +665,7 @@ class AllocationPolicy(abc.ABC):
         the swap-in actually transfers.
         """
         request = seq.request
+        seq.kv_writable_extent = 0
         if request.prefix_id is None or seq.swapped_tokens:
             return self.pool.allocate(request.request_id, self._admit_tokens(seq))
         fresh, hit_tokens = self.pool.allocate_shared(
@@ -658,6 +688,7 @@ class AllocationPolicy(abc.ABC):
 
     def release(self, seq: Sequence) -> int:
         """Return all of a sequence's blocks to the pool."""
+        seq.kv_writable_extent = 0
         return self.pool.free(seq.request.request_id)
 
 
@@ -720,14 +751,18 @@ class OnDemandPolicy(AllocationPolicy):
         registered prefix block this sequence holds alone, the block is
         un-registered *here* — the scheduler only calls :meth:`grow` on a
         positive deficit, and the iteration boundary is the last point
-        before the divergent write.  The scheduler calls this exactly once
-        per running sequence per boundary.
+        before the divergent write.  A zero deficit records the sequence's
+        writable extent (the end of its table: the write block is now
+        private, and later blocks always were, because only prefix-region
+        blocks are ever registered), so the scheduler calls this at most
+        once per boundary, and only for sequences whose next write lies past
+        the recorded extent.
         """
         if not seq.emits_token_this_iteration(prefill_chunk):
             return 0  # mid-prefill chunks stay within the admission allocation
         tokens_after = seq.request.prompt_tokens + seq.generated_tokens + 1
-        needed = self.pool.blocks_needed(tokens_after)
-        growth = max(0, needed - self.pool.blocks_held(seq.request.request_id))
+        held = self.pool.blocks_held(seq.request.request_id)
+        growth = max(0, self.pool.blocks_needed(tokens_after) - held)
         if growth:
             return growth  # the appended token lands in a fresh private block
         # The token lands in an existing block.  A still-shared prefix block
@@ -740,6 +775,7 @@ class OnDemandPolicy(AllocationPolicy):
         if self.pool.cow_cost(seq.request.request_id, write_pos):
             return 1
         self.pool.ensure_writable(seq.request.request_id, write_pos)
+        seq.kv_writable_extent = held * self.pool.block_size
         return 0
 
     def grow(self, seq: Sequence, num_blocks: int) -> int:
@@ -750,7 +786,8 @@ class OnDemandPolicy(AllocationPolicy):
         victim's release may drop a shared block's last other holder, making
         the planned copy a free un-registration), so the executor re-derives
         boundary growth and falls back to :meth:`BlockManager.ensure_writable`
-        for the copy-on-write case.
+        for the copy-on-write case.  Either way the write block ends up
+        private, so the sequence's writable extent becomes its whole table.
         """
         seq_id = seq.request.request_id
         tokens_after = seq.request.prompt_tokens + seq.generated_tokens + 1
@@ -762,7 +799,9 @@ class OnDemandPolicy(AllocationPolicy):
             # Deficit without boundary growth: the write needs copy-on-write
             # (a no-op if a preemption just dropped the block's last sharer).
             self.pool.ensure_writable(seq_id, tokens_after - 1)
-        return self.pool.blocks_held(seq_id)
+        held = self.pool.blocks_held(seq_id)
+        seq.kv_writable_extent = held * self.pool.block_size
+        return held
 
 
 #: CLI-selectable allocation policies, keyed by report/CLI name.

@@ -130,6 +130,13 @@ class Sequence:
     #: completes, scheduled by the event-driven fast path when prefill
     #: finishes (``None`` outside the fast path / after the finish event).
     finish_iteration: int | None = None
+    #: Allocation-internal: token extent the next KV writes are known to need
+    #: no block for — every block from the write position to the end of the
+    #: block table is private and unregistered.  Recorded by
+    #: :class:`~repro.serving.kv_cache.OnDemandPolicy` once the write block is
+    #: secured, reset to 0 (unknown) on admission and release; the scheduler's
+    #: capacity walk skips the sequence while its next write stays inside it.
+    kv_writable_extent: int = 0
     admission_time: float | None = None
     first_token_time: float | None = None
     finish_time: float | None = None

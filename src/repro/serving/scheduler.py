@@ -46,7 +46,7 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .kv_cache import AllocationPolicy, BlockManager, ReservationPolicy
+from .kv_cache import AllocationPolicy, BlockManager, KVCacheExhausted, ReservationPolicy
 from .request import Request, RequestState, Sequence
 
 if TYPE_CHECKING:
@@ -98,7 +98,9 @@ class SchedulerConfig:
         if self.max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
         if self.admission not in ADMISSION_MODES:
-            raise ValueError(f"admission must be 'queue' or 'reject', got {self.admission!r}")
+            raise ValueError(
+                f"admission must be one of {ADMISSION_MODES}, got {self.admission!r}"
+            )
         if self.prefill_chunk is not None and self.prefill_chunk <= 0:
             raise ValueError("prefill_chunk must be positive (or None to disable)")
         if self.preempt_mode not in PREEMPT_MODES:
@@ -331,6 +333,9 @@ class ContinuousBatchingScheduler:
         #: (submit/reject/admit/preempt/finish/strand); every call is
         #: ``is not None``-guarded so the disabled path stays free.
         self.tracer: Tracer | None = None
+        #: Audit every sequence :meth:`ensure_capacity` skips (set by the
+        #: engine from ``EngineConfig.debug_checks``); never changes the run.
+        self.debug_checks = False
 
     # -- intake ------------------------------------------------------------------
     def add_request(self, request: Request) -> Sequence:
@@ -413,10 +418,16 @@ class ContinuousBatchingScheduler:
         """Secure KV blocks for every token the next iteration will append.
 
         Under reservation allocation this is a no-op.  Under on-demand
-        allocation, running sequences are visited in precedence order; when
-        the pool cannot cover a deficit, the scheduling policy picks victims
-        from the lower-precedence tail of the batch, whose blocks are freed
-        and who requeue for recompute-on-resume.  A victim that shares
+        allocation, the running sequences whose next write
+        (``prompt_tokens + generated_tokens + 1``) lies past their recorded
+        :attr:`~repro.serving.request.Sequence.kv_writable_extent` are
+        visited in precedence order; every other sequence writes into a
+        private block it already holds, needs nothing, and is skipped (with
+        ``block_size`` 16 a decoding sequence is due about once in 16
+        iterations).  When the pool cannot cover a deficit, the scheduling
+        policy picks victims from the lower-precedence tail of the *whole*
+        batch, whose blocks are freed and who requeue for
+        recompute-on-resume.  A victim that shares
         prefix blocks returns only its private ones (the policy therefore
         prefers low-sharing victims), so several preemptions may be needed
         to cover one deficit.  A sequence preempts *itself* only when no
@@ -433,9 +444,14 @@ class ContinuousBatchingScheduler:
         """
         if not self.allocation.grows or not self.running:
             return []
+        if self.debug_checks:
+            self._audit_writable_extents()
+        due = self._capacity_due()
+        if not due:
+            return []
         preempted: list[Sequence] = []
         chunk = self.config.prefill_chunk
-        for seq in sorted(self.running, key=self.policy.queue_key):
+        for seq in sorted(due, key=self.policy.queue_key):
             if seq.state is not RequestState.RUNNING:
                 continue  # already preempted at this boundary
             deficit = self.allocation.blocks_deficit(seq, chunk)
@@ -459,6 +475,33 @@ class ContinuousBatchingScheduler:
             if deficit > 0:
                 self.allocation.grow(seq, deficit)
         return preempted
+
+    def _capacity_due(self) -> list[Sequence]:
+        """Running sequences whose next write may need a block, in batch order.
+
+        A sequence whose next write stays inside its recorded writable
+        extent lands in a private, unregistered block it already holds: no
+        growth, copy-on-write or un-registration can be due, so its deficit
+        is 0 and the walk leaves it out.
+        """
+        return [
+            seq
+            for seq in self.running
+            if seq.request.prompt_tokens + seq.generated_tokens >= seq.kv_writable_extent
+        ]
+
+    def _audit_writable_extents(self) -> None:
+        """Raise unless every sequence the capacity walk skips may write in place."""
+        for seq in self.running:
+            write_pos = seq.request.prompt_tokens + seq.generated_tokens
+            if write_pos < seq.kv_writable_extent and not self.block_manager.writable_in_place(
+                seq.request.request_id, write_pos
+            ):
+                raise KVCacheExhausted(
+                    f"sequence {seq.request.request_id} skipped at token {write_pos} "
+                    f"(writable extent {seq.kv_writable_extent}) but its write block "
+                    f"is missing, shared or prefix-registered"
+                )
 
     def _preempt(self, victim: Sequence) -> None:
         """Reclaim a running sequence's blocks and requeue it.

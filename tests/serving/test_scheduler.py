@@ -3,8 +3,10 @@
 import pytest
 
 from repro.serving import (
+    ADMISSION_MODES,
     BlockManager,
     ContinuousBatchingScheduler,
+    EngineConfig,
     Request,
     RequestState,
     SchedulerConfig,
@@ -152,6 +154,16 @@ class TestConfigValidation:
     def test_bad_admission_mode(self):
         with pytest.raises(ValueError):
             SchedulerConfig(admission="drop")
+
+    @pytest.mark.parametrize("config_cls", [SchedulerConfig, EngineConfig])
+    def test_bad_admission_message_lists_every_mode(self, config_cls):
+        # Derived from ADMISSION_MODES (as preempt_mode's message is from
+        # PREEMPT_MODES), so adding a mode cannot leave the message stale.
+        with pytest.raises(ValueError) as excinfo:
+            config_cls(admission="drop")
+        message = str(excinfo.value)
+        assert str(ADMISSION_MODES) in message
+        assert "'drop'" in message
 
     def test_bad_max_batch(self):
         with pytest.raises(ValueError):
