@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 
@@ -27,8 +28,7 @@ def results_dir() -> pathlib.Path:
 
     The tracked ``benchmarks/results/`` only when ``MILO_UPDATE_RESULTS=1``;
     otherwise the git-ignored ``benchmarks/results/latest/``, so an ordinary
-    test run leaves the tracked tree clean (several tables carry wall-clock
-    columns that change on every run).
+    test run leaves the tracked tree clean.
     """
     if os.environ.get("MILO_UPDATE_RESULTS") == "1":
         return RESULTS_DIR
@@ -41,6 +41,19 @@ def save_result(name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{name}.txt").write_text(text + "\n")
     print("\n" + text)
+
+
+def save_timing(name: str, timings: dict[str, float]) -> None:
+    """Persist a table's wall-clock measurements to ``latest/<name>.timing.json``.
+
+    Always the git-ignored ``latest/``, even under ``MILO_UPDATE_RESULTS=1``:
+    wall-clock numbers change on every run, so the tracked tables keep only
+    deterministic columns and an update run moves them only when behaviour
+    changed.
+    """
+    out_dir = RESULTS_DIR / "latest"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{name}.timing.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
 
 
 def calibration_tokens(vocab_size: int, seed: int = 3) -> np.ndarray:
@@ -82,6 +95,7 @@ def compress_model(
 __all__ = [
     "results_dir",
     "save_result",
+    "save_timing",
     "compress_model",
     "calibration_tokens",
     "format_rows",

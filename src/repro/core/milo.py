@@ -128,18 +128,20 @@ class MiLoMatrixOptimizer:
         stop_reason = "max-iterations"
         iterations = 0
 
+        target = W
         for t in range(cfg.max_iterations):
             iterations = t + 1
             # sp1: re-quantize against the compensator-shifted target.
-            target = W - U @ V if U.shape[1] else W
             quantized = self._hqq.quantize(W, target=target)
             W_dq = quantized.dequantize()
             # sp2: best rank-r approximation of the fresh residual.
             residual = W - W_dq
             U, V = truncated_svd_factors(residual, rank)
+            UV = U @ V
 
-            eps_t = float(np.linalg.norm(W - W_dq - U @ V))
+            eps_t = float(np.linalg.norm(residual - UV))
             history.append(eps_t)
+            target = W - UV  # the next sp1 target
 
             # Divergence guard (the paper aborts if the error starts to grow).
             if len(history) >= 2 and eps_t > history[-2] * (1 + 1e-12):

@@ -27,6 +27,7 @@ from ..models.registry import FullModelSpec
 __all__ = [
     "WeightShapeInventory",
     "build_inventory",
+    "quantizable_params",
     "quantized_model_memory_gb",
     "strategy_compensator_gb",
     "fp16_model_memory_gb",
@@ -34,6 +35,11 @@ __all__ = [
 
 _GB = 1024**3
 _FP16_BYTES = 2
+
+
+#: A category of weights as ``(repeat, shapes)`` runs: the category is each
+#: run's ``shapes`` list repeated ``repeat`` times, run after run.
+_Runs = list[tuple[int, list[tuple[int, int]]]]
 
 
 @dataclass
@@ -58,8 +64,8 @@ class WeightShapeInventory:
         return max(0.0, self.spec.params_billions * 1e9 - self.quantizable_params)
 
 
-def build_inventory(spec: FullModelSpec) -> WeightShapeInventory:
-    """Enumerate weight shapes for a full-size model spec.
+def _weight_runs(spec: FullModelSpec) -> tuple[_Runs, _Runs, _Runs]:
+    """Attention, routed-expert and shared-expert weights of ``spec`` as runs.
 
     Attention is approximated as four ``hidden x hidden`` projections per
     layer (grouped-query models are slightly smaller; the error is ~1–2% of
@@ -67,7 +73,7 @@ def build_inventory(spec: FullModelSpec) -> WeightShapeInventory:
     shapes from Appendix C when available.
     """
     h = spec.hidden_size
-    attention = [(h, h)] * (4 * spec.num_layers)
+    attention: _Runs = [(4 * spec.num_layers, [(h, h)])]
 
     # Routed experts use the per-expert intermediate size (fine-grained experts
     # are small); the Appendix C kernel shapes describe the *dense/shared* FFN
@@ -76,22 +82,44 @@ def build_inventory(spec: FullModelSpec) -> WeightShapeInventory:
     expert_matrix_shapes = [(i, h), (h, i), (i, h)]
 
     moe_layers = spec.num_layers if spec.num_shared_experts == 0 else spec.num_layers - 1
-    experts = [s for _ in range(moe_layers * spec.num_experts) for s in expert_matrix_shapes]
+    experts: _Runs = [(moe_layers * spec.num_experts, expert_matrix_shapes)]
 
-    shared: list[tuple[int, int]] = []
+    shared: _Runs = []
     if spec.num_shared_experts:
-        shared = [s for _ in range(moe_layers * spec.num_shared_experts) for s in expert_matrix_shapes]
+        shared.append((moe_layers * spec.num_shared_experts, expert_matrix_shapes))
         # Dense first-layer FFN (DeepSeek): roughly the size of the shared experts
         # scaled up to a standard dense FFN.
         dense_i = spec.intermediate_size * 8
-        shared += [(dense_i, h), (h, dense_i), (dense_i, h)]
+        shared.append((1, [(dense_i, h), (h, dense_i), (dense_i, h)]))
+    return attention, experts, shared
 
+
+def build_inventory(spec: FullModelSpec) -> WeightShapeInventory:
+    """Enumerate weight shapes for a full-size model spec (see :func:`_weight_runs`)."""
+    attention, experts, shared = (
+        [shape for repeat, shapes in runs for _ in range(repeat) for shape in shapes]
+        for runs in _weight_runs(spec)
+    )
     return WeightShapeInventory(
         spec=spec,
         attention_shapes=attention,
         expert_shapes=experts,
         shared_expert_shapes=shared,
     )
+
+
+def quantizable_params(spec: FullModelSpec) -> float:
+    """``build_inventory(spec).quantizable_params`` without enumerating the shapes.
+
+    Each category's count is an exact integer either way, so summing
+    ``repeat * m * n`` per run and adding the categories to the float total in
+    the same order gives the same float bit for bit.  The serving cost model
+    reaches this through every ``step_latency`` memory check.
+    """
+    total = 0.0
+    for runs in _weight_runs(spec):
+        total += sum(repeat * m * n for repeat, shapes in runs for m, n in shapes)
+    return total
 
 
 def fp16_model_memory_gb(spec: FullModelSpec) -> float:
@@ -107,12 +135,11 @@ def quantized_model_memory_gb(
     metadata_bits: int = 16,
 ) -> float:
     """Weight memory of the quantized model without compensators (Table 3 column)."""
-    inventory = build_inventory(spec)
-    qparams = inventory.quantizable_params
+    qparams = quantizable_params(spec)
     entries = 2 if asymmetric else 1
     code_bytes = qparams * bits / 8.0
     metadata_bytes = qparams / group_size * entries * metadata_bits / 8.0
-    other_bytes = inventory.other_params * _FP16_BYTES
+    other_bytes = max(0.0, spec.params_billions * 1e9 - qparams) * _FP16_BYTES
     return (code_bytes + metadata_bytes + other_bytes) / _GB
 
 

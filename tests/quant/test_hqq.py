@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.models.init import heavy_tailed_weight
 from repro.quant import HQQConfig, HQQQuantizer, RTNQuantizer, shrink_lp
+from repro.quant.hqq import _dead_zone
 
 
 class TestShrinkLp:
@@ -35,6 +36,22 @@ class TestShrinkLp:
         x = np.linspace(-3, 3, 31)
         out = shrink_lp(x, beta=beta, p=p)
         assert np.all(np.abs(out) <= np.abs(x) + 1e-12)
+
+    @given(
+        st.floats(1e-3, 1 - 1e-3),
+        st.floats(1e-3, 1e3),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exactly_zero_inside_the_dead_zone(self, p, beta, fractions):
+        # The identity HQQQuantizer.quantize relies on to skip shrink_lp.
+        bound = _dead_zone(beta, p)
+        magnitudes = np.array([0.0, bound, *(f * bound for f in fractions)])
+        x = np.concatenate([magnitudes, -magnitudes])
+        assert np.all(shrink_lp(x, beta=beta, p=p) == 0)
+        # The bound is not vacuous: a few times beta^(-1/(2-p)) survives shrinkage.
+        above = 4 * beta ** (-1.0 / (2.0 - p))
+        assert np.all(shrink_lp(np.array([above, -above]), beta=beta, p=p) != 0)
 
 
 class TestHQQ:

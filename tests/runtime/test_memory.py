@@ -6,6 +6,7 @@ from repro.models import FULL_MODEL_SPECS
 from repro.runtime.memory import (
     build_inventory,
     fp16_model_memory_gb,
+    quantizable_params,
     quantized_model_memory_gb,
     strategy_compensator_gb,
 )
@@ -27,6 +28,32 @@ class TestInventory:
 
     def test_mixtral_has_no_shared_experts(self):
         assert build_inventory(MIXTRAL).shared_expert_shapes == []
+
+
+def _inventory_memory_gb(spec, bits, asymmetric, group_size=64, metadata_bits=16):
+    """The memory formula summed over the enumerated inventory."""
+    inventory = build_inventory(spec)
+    qparams = inventory.quantizable_params
+    entries = 2 if asymmetric else 1
+    code_bytes = qparams * bits / 8.0
+    metadata_bytes = qparams / group_size * entries * metadata_bits / 8.0
+    other_bytes = inventory.other_params * 2
+    return (code_bytes + metadata_bytes + other_bytes) / 1024**3
+
+
+class TestClosedFormCounts:
+    @pytest.mark.parametrize("name", sorted(FULL_MODEL_SPECS))
+    def test_param_count_equals_inventory_sum(self, name):
+        spec = FULL_MODEL_SPECS[name]
+        assert quantizable_params(spec) == build_inventory(spec).quantizable_params
+
+    @pytest.mark.parametrize("name", sorted(FULL_MODEL_SPECS))
+    @pytest.mark.parametrize("bits", [3, 4, 16])
+    @pytest.mark.parametrize("asymmetric", [True, False])
+    def test_memory_equals_inventory_formula(self, name, bits, asymmetric):
+        spec = FULL_MODEL_SPECS[name]
+        got = quantized_model_memory_gb(spec, bits=bits, asymmetric=asymmetric)
+        assert got == _inventory_memory_gb(spec, bits, asymmetric)
 
 
 class TestFP16Memory:
