@@ -6,7 +6,7 @@ replays a large open-loop trace after the hot-loop rework (heap waiting
 queue, memoized per-device iteration costs, event-driven steady-state fast
 path with macro-stepped decode, bulk KV block moves, ``debug_checks`` off).
 
-Three scenarios, all 100k Poisson requests against the MiLo Mixtral-8x7B
+Five scenarios, all 100k Poisson requests against the MiLo Mixtral-8x7B
 backend (A100-40GB devices):
 
 * ``replay_100k_qps2`` — low offered load: ~2.6M mostly-uneventful decode
@@ -18,9 +18,14 @@ backend (A100-40GB devices):
   epoch-keyed per-layer cost memo and the multi-device macro-step loop;
 * ``replay_100k_qps2_disagg`` — the qps-2 trace on a 4-device group split
   ``--disagg 1:3``: every request pays a prefill→decode KV handoff, and
-  the run stays on the general per-iteration loop (disaggregation is
-  excluded from the fast path), so this tracks the disagg hot path's
-  throughput and pins its ``report_sha256``.
+  the run takes the general loop (disaggregation is excluded from the
+  fast path's macro-step), which simulates every iteration but advances
+  decode through finish and KV block-boundary events; this tracks the
+  disagg hot path's throughput and pins its ``report_sha256``;
+* ``replay_100k_qps8_ondemand`` — the saturating qps-8 trace under
+  on-demand KV allocation (``kv_policy="ondemand"``): block growth at
+  every boundary crossing on the general loop's event-driven capacity
+  walk, pinned by its ``report_sha256`` like the rest.
 
 Results land in ``benchmarks/results/latest/BENCH_engine.json`` (git-ignored;
 ``MILO_UPDATE_RESULTS=1`` writes the tracked
@@ -108,6 +113,10 @@ SCENARIOS = {
     "replay_100k_qps2_disagg": dict(
         workload=dict(num_requests=100_000, qps=2.0, seed=0),
         config=dict(devices=4, prefill_devices=1, decode_devices=3),
+    ),
+    "replay_100k_qps8_ondemand": dict(
+        workload=dict(num_requests=100_000, qps=8.0, seed=0),
+        config=dict(kv_policy="ondemand"),
     ),
 }
 

@@ -66,9 +66,10 @@ byte for byte (``tests/serving/test_golden_equivalence.py`` pins this).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .telemetry.metrics import MetricsRegistry
@@ -100,7 +101,7 @@ from .kv_cache import (
     kv_block_bytes,
     make_allocation_policy,
 )
-from .request import Request, RequestState, Sequence
+from .request import Request, Sequence
 from .scheduler import (
     ADMISSION_MODES,
     PREEMPT_MODES,
@@ -240,6 +241,15 @@ _RunTotals = tuple[
     float, float, int, float, float, float, int,
     tuple[int, int, float, int, int, float, float, float],
 ]
+
+
+#: Home-independent half of one layered overlap iteration cost, memoized per
+#: ``(tokens, placement_epoch)``: each layer's per-device token loads (an
+#: int32 ``layers x devices`` array), each layer's critical-path compute (a
+#: float64 array), the summed max and loaded-mean computes, and the
+#: per-device compute sums trace events report.  Arrays keep the memo small:
+#: a few hundred distinct token counts occur per thousand requests.
+_OverlapSplit = tuple[np.ndarray, np.ndarray, float, float, tuple[float, ...]]
 
 
 def overlap_step_seconds(
@@ -678,6 +688,9 @@ class ServingEngine:
         #: the full ``(step, max_compute, mean_compute, remotes)`` result of
         #: the device loop.
         self._cost_cache: dict[object, tuple[Any, ...]] = {}
+        #: Overlap mode: the home-independent per-layer split of each
+        #: ``(tokens, placement_epoch)`` (see :meth:`_overlap_split`).
+        self._split_cache: dict[tuple[int, int], _OverlapSplit] = {}
 
         # -- telemetry (opt-in; see repro.serving.telemetry) ------------------
         #: Attached via :meth:`enable_telemetry`; ``None`` keeps every hook
@@ -815,13 +828,14 @@ class ServingEngine:
         the identical access pattern whether or not tracing is on.  The
         split depends only on the token count (device mass fixes the
         shares; ``home_key`` shifts communication, not compute), so the key
-        is ``tokens`` — epoch-tagged under overlap, where re-placement
-        changes each layer's split.
+        is ``tokens``.  Under overlap the per-layer split memo the cost
+        model already filled for this iteration holds the sums.
         """
-        pool_tokens: tuple[int, int] | None = None
         if self._overlap:
-            key: object = (tokens, self._placement_epoch)
-        elif self._disagg:
+            return self._overlap_split(tokens)[4]
+        pool_tokens: tuple[int, int] | None = None
+        key: object
+        if self._disagg:
             # Each pool splits its *own* token share by its own placement's
             # mass, so the split depends on the (prefill, decode) pool token
             # pair rather than the batch total.
@@ -836,19 +850,7 @@ class ServingEngine:
         latency_cache = self._latency_cache
         backend = self.backend
         spec = self.spec
-        if self._overlap:
-            num_layers = spec.num_layers
-            per_device = [0.0] * len(self.device_group)
-            for mass in self.layered_placement.layer_mass:
-                for d, load in enumerate(split_tokens(tokens, mass)):
-                    if load:
-                        whole = latency_cache.get(load)
-                        if whole is None:
-                            whole = backend.iteration_latency(spec, load).total
-                            latency_cache[load] = whole
-                        per_device[d] += whole / num_layers
-            entry = tuple(per_device)
-        elif pool_tokens is not None:
+        if pool_tokens is not None:
             computes = []
             for placement, ptokens in zip(
                 (self._prefill_placement, self._decode_placement), pool_tokens
@@ -930,17 +932,21 @@ class ServingEngine:
                 )
                 self._placement_epoch = 0
                 self._cost_cache.clear()
+                self._split_cache.clear()
                 self._telemetry_cost_cache.clear()
             if self._drift is not None:
                 self._drift.reset()
-        # The steady-state fast path requires two properties the general loop
-        # does not: blocks move only at admission/eviction (reservation
-        # allocation — no growth, preemption or copy-on-write mid-decode),
-        # and the admission outcome is a pure function of (waiting, running,
-        # pool) state (the default policy), so a failed admit need not be
-        # retried until that state changes.  Everything else takes the
-        # general per-iteration loop.  Both produce bit-identical reports
-        # (goldens + equivalence tests pin this).
+        # Both loops track decode progress through the scheduler's decode
+        # tracker (finish and KV block-boundary events).  The fast path
+        # additionally macro-steps the iterations between events, which
+        # requires two properties the general loop does not: blocks move
+        # only at admission/eviction (reservation allocation — no growth,
+        # preemption or copy-on-write mid-decode), and the admission outcome
+        # is a pure function of (waiting, running, pool) state (the default
+        # policy), so a failed admit need not be retried until that state
+        # changes.  Everything else takes the general per-iteration loop.
+        # Both produce bit-identical reports (goldens + equivalence tests
+        # pin this).
         if (
             self.config.fast_path
             and not self._disagg
@@ -1156,8 +1162,10 @@ class ServingEngine:
 
         Keyed by ``(tokens, home_key, placement_epoch)``: dynamic
         re-placement changes every layer cost, so epochs must not share memo
-        entries.  Returns ``(step, max_compute, mean_compute, remote_tokens,
-        hidden_s, comm_s)`` — the serial tuple plus the iteration's hidden
+        entries.  A miss reuses the home-independent per-layer split of
+        :meth:`_overlap_split` and recomputes only the dispatch terms.
+        Returns ``(step, max_compute, mean_compute, remote_tokens, hidden_s,
+        comm_s)`` — the serial tuple plus the iteration's hidden
         communication seconds and total (un-overlapped) communication
         seconds.
         """
@@ -1165,23 +1173,63 @@ class ServingEngine:
         entry = self._cost_cache.get(key)
         if entry is not None:
             return entry
+        loads, computes, max_compute_s, mean_compute_s, _ = self._overlap_split(tokens)
+        experts_per_token = self.spec.experts_per_token
+        # remote[l, d] = load * experts_per_token * (tokens - home_d) is
+        # exact (the int32 loads widen to int64), and each quotient by
+        # ``tokens`` is the correctly rounded double Python's int division
+        # gives (both operands stay below 2**53), so every comm term is
+        # bit-identical to the scalar per-device loop.
+        remote = loads * np.array(
+            [experts_per_token * (tokens - home) for home in home_key], dtype=np.int64
+        )
+        remote_numer = int(remote.sum())
+        comms: list[float] = (
+            (remote / tokens).max(axis=1) * self._alltoall_s_per_layer_token
+        ).tolist()
+        step, hidden_s = overlap_step_seconds(
+            computes.tolist(), comms, self._overlap_efficiency
+        )
+        comm_s = 0.0
+        for c in comms:
+            comm_s += c
+        # Mean remote tokens per layer, round-half-up — comparable to the
+        # serial engine's once-per-iteration whole-model accounting.
+        denom = self.spec.num_layers * tokens
+        remote_tokens = (2 * remote_numer + denom) // (2 * denom)
+        entry = (step, max_compute_s, mean_compute_s, remote_tokens, hidden_s, comm_s)
+        if len(self._cost_cache) >= 262144:
+            self._cost_cache.clear()
+        self._cost_cache[key] = entry
+        return entry
+
+    def _overlap_split(self, tokens: int) -> _OverlapSplit:
+        """Memoized home-independent half of the layered overlap cost.
+
+        Each layer's per-device token split and compute depend only on the
+        batch token count and the placement epoch, while the dispatch term
+        also depends on the home mix; batches with equal token counts but
+        different homes share this entry (see :data:`_OverlapSplit`).
+        """
+        key = (tokens, self._placement_epoch)
+        entry = self._split_cache.get(key)
+        if entry is not None:
+            return entry
         latency_cache = self._latency_cache
         spec = self.spec
         backend = self.backend
         num_layers = spec.num_layers
-        experts_per_token = spec.experts_per_token
-        alltoall_layer_s = self._alltoall_s_per_layer_token
+        layer_loads: list[list[int]] = []
         computes: list[float] = []
-        comms: list[float] = []
         max_compute_s = 0.0
         mean_compute_s = 0.0
-        remote_numer = 0
+        per_device = [0.0] * len(self.device_group)
         for mass in self.layered_placement.layer_mass:
             layer_max = 0.0
             layer_sum = 0.0
             layer_loaded = 0
-            layer_remote = 0.0
-            for d, load in enumerate(split_tokens(tokens, mass)):
+            loads = split_tokens(tokens, mass)
+            for d, load in enumerate(loads):
                 if load:
                     whole = latency_cache.get(load)
                     if whole is None:
@@ -1192,29 +1240,18 @@ class ServingEngine:
                     layer_loaded += 1
                     if compute > layer_max:
                         layer_max = compute
-                remote_int = load * experts_per_token * (tokens - home_key[d])
-                remote_numer += remote_int
-                remote = remote_int / tokens
-                if remote > layer_remote:
-                    layer_remote = remote
+                    per_device[d] += compute
+            layer_loads.append(loads)
             computes.append(layer_max)
-            comms.append(layer_remote * alltoall_layer_s)
             max_compute_s += layer_max
             mean_compute_s += layer_sum / layer_loaded if layer_loaded else 0.0
-        step, hidden_s = overlap_step_seconds(
-            computes, comms, self._overlap_efficiency
+        entry = (
+            np.array(layer_loads, dtype=np.int32), np.array(computes),
+            max_compute_s, mean_compute_s, tuple(per_device),
         )
-        comm_s = 0.0
-        for c in comms:
-            comm_s += c
-        # Mean remote tokens per layer, round-half-up — comparable to the
-        # serial engine's once-per-iteration whole-model accounting.
-        denom = num_layers * tokens
-        remote_tokens = (2 * remote_numer + denom) // (2 * denom)
-        entry = (step, max_compute_s, mean_compute_s, remote_tokens, hidden_s, comm_s)
-        if len(self._cost_cache) >= 262144:
-            self._cost_cache.clear()
-        self._cost_cache[key] = entry
+        if len(self._split_cache) >= 262144:
+            self._split_cache.clear()
+        self._split_cache[key] = entry
         return entry
 
     def _observe_routing(
@@ -1252,12 +1289,15 @@ class ServingEngine:
     ) -> _RunTotals:
         """The per-iteration loop: correct for every policy combination.
 
-        Structurally the pre-PR-6 loop with the per-iteration work fused
-        into one walk over the batch (token counting + per-device home
-        tokens), the device cost loop memoized, eviction skipped on
-        iterations nothing finished, ``ensure_capacity`` skipped for
-        non-growing allocation, and the KV peaks re-read only after the
-        pool's occupancy may have risen.
+        Every iteration is simulated explicitly, but its per-sequence work
+        scales with events, not with the batch: decoding sequences are
+        counted per home device and advanced through the scheduler's
+        :class:`~repro.serving.scheduler.DecodeTracker` (finish and KV
+        block-boundary heaps over one shared iteration counter), so only
+        the prefilling sequences are walked.  The device cost loop is
+        memoized, eviction skipped on iterations nothing finished,
+        ``ensure_capacity`` skipped for non-growing allocation, and the KV
+        peaks re-read only after the pool's occupancy may have risen.
         """
         clock = 0.0
         next_arrival = 0
@@ -1294,7 +1334,8 @@ class ServingEngine:
         drift = self._drift if overlap_mode else None
         last_ckey = None
         block_manager = self.block_manager
-        finished_state = RequestState.FINISHED
+        tracker = scheduler.decode
+        audit = self.config.debug_checks and not grows
         tracer = self.tracer
         metrics = self.metrics
         #: Next due metrics sample time (``inf`` disables the clock compare).
@@ -1317,6 +1358,8 @@ class ServingEngine:
                 # (preempting the low-precedence tail if the pool is dry)
                 # before any queued request may claim free blocks.
                 scheduler.ensure_capacity()
+            elif audit:
+                tracker.audit(scheduler.running)
             admitted = scheduler.admit(clock)
             if swap_mode and admitted:
                 # Re-admitted swap victims restore their parked KV over the
@@ -1350,10 +1393,13 @@ class ServingEngine:
                     continue
                 break
 
+            # Each decoding sequence contributes one token row; only the
+            # walked (prefilling) sequences need counting one by one.
+            walked = tracker.walked
+            tokens = tracker.count
             if multi:
-                tokens = 0
-                home_tokens = [0] * num_devices
-                for seq in running:
+                home_tokens = tracker.home[:]
+                for seq in walked:
                     t = seq.tokens_this_iteration(chunk)
                     tokens += t
                     home_tokens[seq.home_device] += t
@@ -1375,8 +1421,7 @@ class ServingEngine:
                 straggler_max_s += max_compute
                 straggler_mean_s += mean_compute
             else:
-                tokens = 0
-                for seq in running:
+                for seq in walked:
                     tokens += seq.tokens_this_iteration(chunk)
                 step = self._iteration_cost(tokens, None)[0]
             if tracer is not None:
@@ -1444,74 +1489,43 @@ class ServingEngine:
                         if u > peak_used_per_device[d]:
                             peak_used_per_device[d] = u
 
-            finished_any = False
-            if disagg:
-                # The walk additionally collects sequences whose prefill just
-                # completed: their KV must leave the prefill pool before the
-                # next iteration (first token already emitted — handoff
-                # delays the second).
-                handoff_ready: list[Sequence] | None = None
-                for seq in running:
-                    was_prefill = not seq.prefill_done
-                    seq.advance(clock, chunk)
-                    if seq.state is finished_state:
-                        finished_any = True
-                        if tracer is not None and was_prefill and seq.prefill_done:
-                            tracer.first_token(seq, clock)
-                    elif was_prefill and seq.prefill_done:
-                        if tracer is not None:
-                            tracer.first_token(seq, clock)
-                        if handoff_ready is None:
-                            handoff_ready = []
-                        handoff_ready.append(seq)
-                if handoff_ready:
-                    for seq in handoff_ready:
-                        req_id = seq.request.request_id
-                        blocks = block_manager.blocks_held(req_id)
-                        dst = -1
-                        best_free = -1
-                        for d in self._decode_pool:
-                            free = block_manager.free_blocks_on(d)
-                            if free >= blocks and free > best_free:
-                                best_free = free
-                                dst = d
-                        if dst < 0:
-                            # No decode device can hold the KV right now:
-                            # preempt off the prefill device instead
-                            # (preempt_mode decides recompute vs swap) and
-                            # retry the whole admission later.
-                            scheduler._preempt(seq)
-                            continue
-                        src = seq.home_device
-                        block_manager.migrate(req_id, src, dst)
-                        seq.home_device = dst
-                        stall = blocks * self._handoff_s_per_block
-                        transfer_t0 = clock
-                        clock += stall
-                        handoffs += 1
-                        handoff_blocks += blocks
-                        handoff_s += stall
-                        if tracer is not None:
-                            tracer.handoff(
-                                seq, transfer_t0, clock, src, dst, blocks, stall
-                            )
-                            tracer.now = clock
-            elif tracer is None:
-                for seq in running:
-                    seq.advance(clock, chunk)
-                    if seq.state is finished_state:
-                        finished_any = True
-            else:
-                for seq in running:
-                    was_prefill = not seq.prefill_done
-                    seq.advance(clock, chunk)
-                    if was_prefill and seq.prefill_done:
-                        # The iteration that completes (re-)prefill emits the
-                        # first token; a single-token request finishes in the
-                        # same iteration and its finish event follows below.
-                        tracer.first_token(seq, clock)
-                    if seq.state is finished_state:
-                        finished_any = True
+            started: list[Sequence] | None = [] if disagg else None
+            finished_any = tracker.step(iterations, clock, chunk, tracer, started)
+            if started:
+                # Sequences whose prefill just completed hand their KV off
+                # the prefill pool before the next iteration (first token
+                # already emitted — handoff delays the second).
+                for seq in started:
+                    req_id = seq.request.request_id
+                    blocks = block_manager.blocks_held(req_id)
+                    dst = -1
+                    best_free = -1
+                    for d in self._decode_pool:
+                        free = block_manager.free_blocks_on(d)
+                        if free >= blocks and free > best_free:
+                            best_free = free
+                            dst = d
+                    if dst < 0:
+                        # No decode device can hold the KV right now:
+                        # preempt off the prefill device instead
+                        # (preempt_mode decides recompute vs swap) and
+                        # retry the whole admission later.
+                        scheduler.preempt(seq)
+                        continue
+                    src = seq.home_device
+                    block_manager.migrate(req_id, src, dst)
+                    tracker.rehome(seq, dst)
+                    stall = blocks * self._handoff_s_per_block
+                    transfer_t0 = clock
+                    clock += stall
+                    handoffs += 1
+                    handoff_blocks += blocks
+                    handoff_s += stall
+                    if tracer is not None:
+                        tracer.handoff(
+                            seq, transfer_t0, clock, src, dst, blocks, stall
+                        )
+                        tracer.now = clock
             if finished_any:
                 scheduler.evict_finished()
                 if rebalance_pool:
@@ -1527,7 +1541,7 @@ class ServingEngine:
                         blocks = block_manager.migrate(
                             mover.request.request_id, src, dst
                         )
-                        mover.home_device = dst
+                        tracker.rehome(mover, dst)
                         stall = blocks * self._handoff_s_per_block
                         transfer_t0 = clock
                         clock += stall
@@ -1563,14 +1577,13 @@ class ServingEngine:
           changes the (waiting, running, pool) state, so ``admit`` is only
           called when ``admit_dirty`` marks such a change.
 
-        Decode progress is tracked as *finish events* on an iteration-index
-        heap instead of a per-sequence walk: a sequence completing prefill
-        at iteration ``i`` finishes at iteration ``i + max_new_tokens - 1``
-        exactly, so between events nothing per-sequence happens at all and
-        uneventful stretches are compressed into a tight loop repeating the
-        exact per-iteration float operations (bit-identical clock).  The
-        decode token counts the per-iteration walk would read are
-        materialized onto the sequence at its finish event.
+        Decode progress is tracked by the scheduler's
+        :class:`~repro.serving.scheduler.DecodeTracker`, as in the general
+        loop: a sequence completing prefill at iteration ``i`` finishes at
+        iteration ``i + max_new_tokens - 1`` exactly, so between finish
+        events nothing per-sequence happens at all and uneventful stretches
+        are compressed into a tight loop repeating the exact per-iteration
+        float operations (bit-identical clock).
         """
         clock = 0.0
         next_arrival = 0
@@ -1595,19 +1608,14 @@ class ServingEngine:
         drift = self._drift if overlap_mode else None
         last_ckey = None
         block_manager = self.block_manager
-        finished_state = RequestState.FINISHED
         running = scheduler.running
-        #: Running sequences still prefilling (walked per iteration; small).
-        prefilling: list[Sequence] = []
-        #: Running sequences in pure decode, and their split by home device.
-        decode_count = 0
-        home_decode = [0] * num_devices
-        #: (finish_iteration, enqueue_index, seq) of every decoding sequence.
-        finish_heap: list[tuple[int, int, Sequence]] = []
+        tracker = scheduler.decode
+        #: Decoding sequences per home device, and their finish events.
+        home_decode = tracker.home
+        finish_heap = tracker.finish_heap
+        audit = self.config.debug_checks
         admit_dirty = False
         cost_cache = self._cost_cache
-        heappush = heapq.heappush
-        heappop = heapq.heappop
         waiting = scheduler.waiting
         inf = float("inf")
         #: Arrival time of ``pending[next_arrival]`` (``inf`` when drained),
@@ -1638,7 +1646,6 @@ class ServingEngine:
                 # find nothing waiting, so skip the call.
                 admitted = scheduler.admit(clock) if waiting else None
                 if admitted:
-                    prefilling.extend(admitted)
                     # Blocks move only at admission/eviction under
                     # reservation allocation, so peaks move only here.
                     batch = len(running)
@@ -1661,8 +1668,11 @@ class ServingEngine:
                     clock = max(clock, next_at)
                     continue
                 break
+            if audit:
+                tracker.audit(running)
 
-            tokens = decode_count
+            prefilling = tracker.walked
+            tokens = tracker.count
             if prefilling:
                 for seq in prefilling:
                     tokens += seq.tokens_this_iteration(chunk)
@@ -1741,60 +1751,26 @@ class ServingEngine:
                     metrics, scheduler, clock, iterations, len(running)
                 )
 
-            finished_any = False
-            if prefilling:
-                still_prefilling = []
-                for seq in prefilling:
-                    seq.advance(clock, chunk)
-                    if seq.state is finished_state:
-                        finished_any = True  # single-token request
-                        if tracer is not None:
-                            tracer.first_token(seq, clock)
-                    elif seq.prefill_done:
-                        if tracer is not None:
-                            tracer.first_token(seq, clock)
-                        # Entered decode: schedule its finish event.  The
-                        # completing iteration emitted token 1, so the
-                        # remaining max_new - 1 tokens land one per
-                        # iteration from here.
-                        decode_count += 1
-                        home_decode[seq.home_device] += 1
-                        seq.finish_iteration = (
-                            iterations + seq.request.max_new_tokens - 1
-                        )
-                        heappush(
-                            finish_heap,
-                            (seq.finish_iteration, seq.enqueue_index, seq),
-                        )
-                    else:
-                        still_prefilling.append(seq)
-                prefilling = still_prefilling
-            while finish_heap and finish_heap[0][0] == iterations:
-                seq = heappop(finish_heap)[2]
-                # Materialize the decode state the per-iteration walk would
-                # have accumulated token by token.
-                seq.generated_tokens = seq.request.max_new_tokens
-                seq.state = finished_state
-                seq.finish_time = clock
-                seq.finish_iteration = None
-                decode_count -= 1
-                home_decode[seq.home_device] -= 1
-                finished_any = True
-            if finished_any:
-                scheduler.evict_finished()
-                admit_dirty = True  # freed blocks / batch slots
-                continue
+            # Most explicit iterations here neither advance a prefill nor
+            # reach a finish event; skip the tracker call on those.
+            if tracker.walked or (finish_heap and finish_heap[0][0] <= iterations):
+                if tracker.step(iterations, clock, chunk, tracer):
+                    scheduler.evict_finished()
+                    admit_dirty = True  # freed blocks / batch slots
+                    continue
+            else:
+                tracker.iteration = iterations
 
             # -- steady-state macro step ---------------------------------------
             # Pure decode, nothing admitted or finished this iteration: the
             # batch is frozen until the next finish event or arrival, and
             # every iteration until then repeats the same float operations.
-            if prefilling or not finish_heap:
+            if tracker.walked or not finish_heap:
                 continue
             span = finish_heap[0][0] - iterations - 1
             if span <= 0:
                 continue
-            tokens = decode_count
+            tokens = tracker.count
             if multi:
                 home_key = tuple(home_decode)
                 if drift is not None and (tokens, home_key) != last_ckey:
@@ -1938,6 +1914,7 @@ class ServingEngine:
                                 ibatch,
                             )
             iterations += done
+            tracker.iteration = iterations
             total_tokens += tokens * done
 
         # The fast path never moves KV: disagg is excluded by ``run`` and

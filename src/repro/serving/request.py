@@ -14,7 +14,9 @@ lifetime on the simulated device:
   first token);
 * **decode** — each subsequent iteration the sequence participates in emits
   one token, until ``max_new_tokens`` have been produced; the average gap
-  between those tokens is the TPOT (time per output token);
+  between those tokens is the TPOT (time per output token).  Inside the
+  engine a decoding sequence is not advanced per iteration: the scheduler's
+  decode tracker derives its token count from a shared iteration counter;
 * **preempted** (on-demand allocation only) — the scheduler reclaimed the
   sequence's KV blocks to let a higher-precedence sequence grow.  The
   sequence is requeued and, on re-admission, *recomputes*: its prefill extent
@@ -29,7 +31,11 @@ All timestamps are in simulated seconds on the discrete-event clock of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .scheduler import DecodeTracker
 
 __all__ = ["RequestState", "Request", "Sequence"]
 
@@ -108,7 +114,10 @@ class Sequence:
     prefix_hit_tokens: int = 0
     #: Generated tokens folded into the prefill extent by recompute-on-resume.
     recompute_base: int = 0
-    generated_tokens: int = 0
+    #: Backing store of :attr:`generated_tokens`: the count itself while the
+    #: sequence is not decode-tracked, ``generated_tokens - iteration`` (the
+    #: tracker's shared iteration counter) while it is.
+    _generated: int = 0
     #: Times this sequence was preempted (on-demand allocation only).
     preemptions: int = 0
     #: Tokens of KV state parked in host memory by swap-to-host preemption
@@ -126,10 +135,22 @@ class Sequence:
     #: at every dynamic expert re-placement, so this records which cluster
     #: layout served the request; always 0 outside overlap mode.
     placement_epoch: int = 0
-    #: Engine-internal: iteration index at which this sequence's decode
-    #: completes, scheduled by the event-driven fast path when prefill
-    #: finishes (``None`` outside the fast path / after the finish event).
+    #: Scheduler-internal: the :class:`~repro.serving.scheduler.DecodeTracker`
+    #: deriving this sequence's decode progress from its iteration counter,
+    #: from the iteration the sequence enters decode until it finishes or is
+    #: preempted (``None`` otherwise — then :meth:`advance` counts tokens).
+    decode_tracker: DecodeTracker | None = field(default=None, repr=False, compare=False)
+    #: Scheduler-internal: iteration count at which the tracked decode
+    #: completes (``None`` while the sequence is not decode-tracked).
     finish_iteration: int | None = None
+    #: Scheduler-internal: iteration count at which the tracked decode's
+    #: next write leaves :attr:`kv_writable_extent`, i.e. the sequence is
+    #: due for the on-demand capacity walk (meaningful only while
+    #: decode-tracked; ``None`` between being found due and being re-armed).
+    boundary_iteration: int | None = None
+    #: Order of the sequence's latest admission (dense per scheduler); the
+    #: running batch is always in this order.
+    admit_index: int = 0
     #: Allocation-internal: token extent the next KV writes are known to need
     #: no block for — every block from the write position to the end of the
     #: block table is private and unregistered.  Recorded by
@@ -142,6 +163,19 @@ class Sequence:
     finish_time: float | None = None
 
     # -- phase queries -----------------------------------------------------------
+    @property
+    def generated_tokens(self) -> int:
+        """Output tokens produced so far (exact at every read).
+
+        A decode-tracked sequence emits one token per engine iteration, so
+        its count is derived from the tracker's iteration counter instead of
+        being incremented per iteration.
+        """
+        tracker = self.decode_tracker
+        if tracker is None:
+            return self._generated
+        return self._generated + tracker.iteration
+
     @property
     def is_prefill(self) -> bool:
         return self.state is RequestState.RUNNING and not self.prefill_done
@@ -168,8 +202,14 @@ class Sequence:
         if self.state is not RequestState.RUNNING:
             return 0
         if not self.prefill_done:
-            remaining = self.remaining_prefill
-            return remaining if prefill_chunk is None else min(prefill_chunk, remaining)
+            # remaining_prefill, inlined (called per prefilling sequence per
+            # engine iteration).
+            remaining = self.request.prompt_tokens + self.recompute_base - self.prefill_progress
+            if remaining < 0:
+                remaining = 0
+            if prefill_chunk is not None and prefill_chunk < remaining:
+                return prefill_chunk
+            return remaining
         return 1
 
     def emits_token_this_iteration(self, prefill_chunk: int | None = None) -> bool:
@@ -281,18 +321,30 @@ class Sequence:
         """Record the outcome of one iteration this sequence participated in."""
         if self.state is not RequestState.RUNNING:
             raise RuntimeError(f"cannot advance a {self.state.value} sequence")
+        if self.decode_tracker is not None:
+            raise RuntimeError(
+                "a decode-tracked sequence advances with its tracker's iteration counter"
+            )
         if not self.prefill_done:
-            self.prefill_progress += self.tokens_this_iteration(prefill_chunk)
-            if self.prefill_progress < self.prefill_extent:
+            # tokens_this_iteration, inlined: the engine advances every
+            # prefilling sequence once per iteration.
+            extent = self.request.prompt_tokens + self.recompute_base
+            progress = self.prefill_progress
+            fed = extent - progress if extent > progress else 0
+            if prefill_chunk is not None and prefill_chunk < fed:
+                fed = prefill_chunk
+            progress += fed
+            self.prefill_progress = progress
+            if progress < extent:
                 return  # mid-chunk: no token emitted this iteration
             # The iteration that finishes (re-)prefill also produces one new token.
             self.prefill_done = True
-            self.generated_tokens += 1
+            self._generated += 1
             if self.first_token_time is None:
                 self.first_token_time = now
         else:
-            self.generated_tokens += 1
-        if self.generated_tokens >= self.request.max_new_tokens:
+            self._generated += 1
+        if self._generated >= self.request.max_new_tokens:
             self.state = RequestState.FINISHED
             self.finish_time = now
 
@@ -313,9 +365,10 @@ class Sequence:
         """
         if self.finish_time is None or self.first_token_time is None:
             return None
-        if self.generated_tokens <= 1:
+        generated = self.generated_tokens
+        if generated <= 1:
             return 0.0
-        return (self.finish_time - self.first_token_time) / (self.generated_tokens - 1)
+        return (self.finish_time - self.first_token_time) / (generated - 1)
 
     @property
     def e2e_latency(self) -> float | None:

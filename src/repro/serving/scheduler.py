@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .kv_cache import AllocationPolicy, BlockManager, KVCacheExhausted, ReservationPolicy
@@ -59,6 +60,7 @@ __all__ = [
     "SchedulingPolicy",
     "FifoPriorityPolicy",
     "WaitingQueue",
+    "DecodeTracker",
     "ContinuousBatchingScheduler",
 ]
 
@@ -281,6 +283,225 @@ class WaitingQueue:
         return sorted(self._heap)[index][2]
 
 
+_FINISHED = RequestState.FINISHED
+
+
+class DecodeTracker:
+    """Event-driven decode progress of the running batch.
+
+    A decoding sequence changes at two kinds of events only: its finish,
+    and — under on-demand allocation — the iteration at which its next KV
+    write leaves its :attr:`~repro.serving.request.Sequence.kv_writable_extent`
+    (a block boundary).  Between events it emits one token per iteration, so
+    instead of touching every sequence every iteration the tracker keeps:
+
+    * :attr:`iteration`, the engine's completed-iteration counter, from
+      which every tracked sequence's ``generated_tokens`` is derived (exact
+      at every read, never materialized per iteration);
+    * :attr:`count` / :attr:`home`, the decoding sequences in total and per
+      home device (each contributes one token row per iteration);
+    * :attr:`walked`, every other running sequence — the prefilling ones
+      in the engine — in batch order, advanced one by one;
+    * :attr:`finish_heap` and a block-boundary heap of ``(iteration,
+      tiebreak, sequence)`` entries.  Entries are invalidated lazily: one
+      is live only while the sequence is tracked and its
+      ``finish_iteration`` / ``boundary_iteration`` still equals it.
+
+    Every membership change goes through the tracker: admission (the
+    scheduler appends to :attr:`walked`, or calls :meth:`start` for a
+    swap-resumed decoder, which decodes at once), prefill completion and
+    finish (:meth:`step`), preemption (:meth:`remove`), and re-homing by
+    handoff or rebalance (:meth:`rehome`).
+    """
+
+    __slots__ = (
+        "iteration", "count", "home", "walked", "finish_heap",
+        "_boundaries", "_boundary_heap", "_pushes",
+    )
+
+    def __init__(self, num_devices: int = 1, boundaries: bool = True) -> None:
+        #: Engine iterations completed so far (set by the engine).
+        self.iteration = 0
+        self.count = 0
+        self.home = [0] * num_devices
+        self.walked: list[Sequence] = []
+        self.finish_heap: list[tuple[int, int, Sequence]] = []
+        #: Whether block boundaries are armed at all (growing allocation
+        #: only: a reserved extent never needs a boundary visit).
+        self._boundaries = boundaries
+        self._boundary_heap: list[tuple[int, int, Sequence]] = []
+        self._pushes = 0
+
+    def start(self, seq: Sequence) -> None:
+        """Derive ``seq``'s progress from the counter from now on."""
+        generated = seq._generated - self.iteration
+        seq._generated = generated
+        seq.decode_tracker = self
+        self.count += 1
+        self.home[seq.home_device] += 1
+        finish = seq.request.max_new_tokens - generated
+        seq.finish_iteration = finish
+        # A sequence starts decode at most once per admission, so its
+        # admission index breaks finish ties without comparing sequences.
+        heapq.heappush(self.finish_heap, (finish, seq.admit_index, seq))
+        if self._boundaries:
+            self.arm(seq)
+
+    def arm(self, seq: Sequence) -> None:
+        """(Re-)schedule the boundary visit of a tracked sequence.
+
+        Due at the iteration where ``prompt_tokens + generated_tokens``
+        reaches the recorded writable extent; called when decode starts and
+        after every capacity-walk visit, the only points an allocation
+        policy records a new extent.
+        """
+        due = seq.kv_writable_extent - seq.request.prompt_tokens - seq._generated
+        if due != seq.boundary_iteration:
+            seq.boundary_iteration = due
+            heapq.heappush(self._boundary_heap, (due, self._pushes, seq))
+            self._pushes += 1
+
+    def _stop(self, seq: Sequence) -> None:
+        seq._generated += self.iteration
+        seq.decode_tracker = None
+        seq.finish_iteration = None
+        seq.boundary_iteration = None
+        self.count -= 1
+        self.home[seq.home_device] -= 1
+
+    def remove(self, seq: Sequence) -> None:
+        """Stop tracking a sequence leaving the batch (preemption)."""
+        if seq.decode_tracker is self:
+            self._stop(seq)
+        else:
+            self.walked = [s for s in self.walked if s is not seq]
+
+    def rehome(self, seq: Sequence, device: int) -> None:
+        """Move a running sequence's home (its KV migrated to ``device``)."""
+        if seq.decode_tracker is self:
+            self.home[seq.home_device] -= 1
+            self.home[device] += 1
+        seq.home_device = device
+
+    def due(self) -> list[Sequence]:
+        """Pop the tracked sequences whose block boundary is due now.
+
+        Each comes back disarmed; the capacity walk re-arms it after its
+        visit (:meth:`arm`).
+        """
+        heap = self._boundary_heap
+        iteration = self.iteration
+        due = []
+        while heap and heap[0][0] <= iteration:
+            at, _, seq = heapq.heappop(heap)
+            if seq.decode_tracker is self and seq.boundary_iteration == at:
+                seq.boundary_iteration = None
+                due.append(seq)
+        return due
+
+    def step(
+        self,
+        iteration: int,
+        now: float,
+        prefill_chunk: int | None,
+        tracer: Tracer | None = None,
+        started: list[Sequence] | None = None,
+    ) -> bool:
+        """Record the engine's ``iteration``-th completed iteration at ``now``.
+
+        Advances the walked sequences, starts tracking those whose prefill
+        completed (appending them, in batch order, to ``started`` when
+        given), and finishes the tracked ones whose last token this was
+        (state and finish time only — the scheduler evicts).  Returns
+        whether anything finished.
+        """
+        self.iteration = iteration
+        finished = False
+        walked = self.walked
+        if walked:
+            still: list[Sequence] = []
+            for seq in walked:
+                was_prefill = not seq.prefill_done
+                seq.advance(now, prefill_chunk)
+                if seq.state is _FINISHED:
+                    finished = True  # e.g. a single-token request
+                    if was_prefill and tracer is not None:
+                        tracer.first_token(seq, now)
+                elif seq.prefill_done:
+                    if was_prefill and tracer is not None:
+                        tracer.first_token(seq, now)
+                    self.start(seq)
+                    if started is not None:
+                        started.append(seq)
+                else:
+                    still.append(seq)
+            self.walked = still
+        heap = self.finish_heap
+        while heap and heap[0][0] <= iteration:
+            at, _, seq = heapq.heappop(heap)
+            if seq.decode_tracker is self and seq.finish_iteration == at:
+                seq.state = _FINISHED
+                seq.finish_time = now
+                # _stop minus the boundary reset: a finished sequence never
+                # re-enters decode, so its stale entries stay invalid.
+                seq._generated += iteration
+                seq.decode_tracker = seq.finish_iteration = None
+                self.count -= 1
+                self.home[seq.home_device] -= 1
+                finished = True
+        return finished
+
+    def audit(self, running: list[Sequence]) -> None:
+        """Raise unless the event state matches a recount from ``running``."""
+        home = [0] * len(self.home)
+        walked = []
+        finish = {(at, id(seq)) for at, _, seq in self.finish_heap}
+        boundary = {(at, id(seq)) for at, _, seq in self._boundary_heap}
+        previous = -1
+        for seq in running:
+            if seq.admit_index <= previous:
+                raise RuntimeError("running batch is out of admission order")
+            previous = seq.admit_index
+            if seq.decode_tracker is not self:
+                walked.append(seq)
+                continue
+            req_id = seq.request.request_id
+            if not seq.prefill_done or seq.state is not RequestState.RUNNING:
+                raise RuntimeError(f"sequence {req_id} is decode-tracked but not decoding")
+            home[seq.home_device] += 1
+            finish_at = seq.request.max_new_tokens - seq._generated
+            if (
+                seq.finish_iteration != finish_at
+                or finish_at <= self.iteration
+                or (finish_at, id(seq)) not in finish
+            ):
+                raise RuntimeError(
+                    f"sequence {req_id} finishes at iteration {finish_at} but is "
+                    f"scheduled for {seq.finish_iteration}"
+                )
+            if self._boundaries:
+                boundary_at = (
+                    seq.kv_writable_extent - seq.request.prompt_tokens - seq._generated
+                )
+                if (
+                    seq.boundary_iteration != boundary_at
+                    or (boundary_at, id(seq)) not in boundary
+                ):
+                    raise KVCacheExhausted(
+                        f"sequence {req_id} reaches its writable extent at iteration "
+                        f"{boundary_at} but is armed for {seq.boundary_iteration}"
+                    )
+        if home != self.home or sum(home) != self.count:
+            raise RuntimeError(
+                f"decode counts {self.count} {self.home} disagree with the batch's "
+                f"{sum(home)} {home}"
+            )
+        if len(walked) != len(self.walked) or any(
+            a is not b for a, b in zip(walked, self.walked)
+        ):
+            raise RuntimeError("walked sequences are not the batch's untracked subsequence")
+
+
 class ContinuousBatchingScheduler:
     """Forms the per-iteration batch over a shared KV block pool.
 
@@ -317,6 +538,12 @@ class ContinuousBatchingScheduler:
         #: (``preempt_mode == "swap"`` only; both stay 0 under recompute).
         self.swaps = 0
         self.swapped_blocks = 0
+        #: Decode progress of the running batch (see :class:`DecodeTracker`).
+        self.decode = DecodeTracker(
+            len(getattr(block_manager, "pools", (block_manager,))),
+            boundaries=self.allocation.grows,
+        )
+        self._admit_counter = 0
         #: Disaggregated pool split, set by the engine (``None`` = colocated):
         #: new admissions are steered to the prefill pool, swapped-out
         #: decode-phase resumes to the decode pool, and the rebalance hook
@@ -390,7 +617,13 @@ class ContinuousBatchingScheduler:
                 head.home_device = self.block_manager.home_device(head.request.request_id)
                 head.placement_epoch = self.placement_epoch
                 head.admit(now)
+                head.admit_index = self._admit_counter
+                self._admit_counter += 1
                 self.running.append(head)
+                if head.prefill_done:
+                    self.decode.start(head)  # swap-resumed mid-decode
+                else:
+                    self.decode.walked.append(head)
                 admitted.append(head)
                 if tracer is not None:
                     # After allocation.admit, so the KV alloc/share event
@@ -446,6 +679,7 @@ class ContinuousBatchingScheduler:
             return []
         if self.debug_checks:
             self._audit_writable_extents()
+            self.decode.audit(self.running)
         due = self._capacity_due()
         if not due:
             return []
@@ -467,13 +701,17 @@ class ContinuousBatchingScheduler:
                 victim = self.policy.select_victim(candidates, self.block_manager)
                 if victim is None:
                     victim = seq  # tail of the batch: yield its own blocks
-                self._preempt(victim)
+                self.preempt(victim)
                 preempted.append(victim)
                 if victim is seq:
                     deficit = 0
                     break
             if deficit > 0:
                 self.allocation.grow(seq, deficit)
+        tracker = self.decode
+        for seq in due:
+            if seq.decode_tracker is tracker:
+                tracker.arm(seq)  # the visit may have recorded a new extent
         return preempted
 
     def _capacity_due(self) -> list[Sequence]:
@@ -482,13 +720,21 @@ class ContinuousBatchingScheduler:
         A sequence whose next write stays inside its recorded writable
         extent lands in a private, unregistered block it already holds: no
         growth, copy-on-write or un-registration can be due, so its deficit
-        is 0 and the walk leaves it out.
+        is 0 and the walk leaves it out.  Decoding sequences come off the
+        tracker's block-boundary heap; only the walked (prefilling) ones are
+        tested here.
         """
-        return [
+        tracker = self.decode
+        due = [
             seq
-            for seq in self.running
+            for seq in tracker.walked
             if seq.request.prompt_tokens + seq.generated_tokens >= seq.kv_writable_extent
         ]
+        boundary = tracker.due()
+        if boundary:
+            due += boundary
+            due.sort(key=attrgetter("admit_index"))
+        return due
 
     def _audit_writable_extents(self) -> None:
         """Raise unless every sequence the capacity walk skips may write in place."""
@@ -503,7 +749,7 @@ class ContinuousBatchingScheduler:
                     f"is missing, shared or prefix-registered"
                 )
 
-    def _preempt(self, victim: Sequence) -> None:
+    def preempt(self, victim: Sequence) -> None:
         """Reclaim a running sequence's blocks and requeue it.
 
         ``preempt_mode`` decides what happens to the victim's KV state:
@@ -511,7 +757,10 @@ class ContinuousBatchingScheduler:
         re-prefills every token written so far); ``"swap"`` parks it in host
         memory — the sequence keeps its prefill state, and the engine prices
         the swap-in over :attr:`DeviceSpec.host_bandwidth` on re-admission.
+        Used by the capacity walk and by the engine's disaggregated handoff
+        fallback alike.
         """
+        self.decode.remove(victim)
         if self.config.preempt_mode == "swap":
             swapped_blocks = self.block_manager.blocks_held(victim.request.request_id)
             self.allocation.release(victim)
@@ -564,6 +813,11 @@ class ContinuousBatchingScheduler:
         finished_state = RequestState.FINISHED
         for seq in self.running:
             (done if seq.state is finished_state else still_running).append(seq)
+        tracker = self.decode
+        if tracker.walked:
+            # Walked sequences finish by advancing; tracked ones already
+            # left the tracker at their finish event.
+            tracker.walked = [s for s in tracker.walked if s.state is not finished_state]
         release = self.allocation.release
         tracer = self.tracer
         if tracer is None:

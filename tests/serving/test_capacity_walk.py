@@ -76,17 +76,21 @@ class FullWalkEngine(ServingEngine):
         return super().run(requests)
 
 
-def draw_case(seed):
-    """A seeded random on-demand engine config, request list and pool size."""
+def draw_case(seed, layouts=LAYOUTS, kv_policies=("ondemand",)):
+    """A seeded random engine config, request list and pool size.
+
+    The cluster layout and KV policy cycle with the seed (layout fastest);
+    everything else is drawn from the seeded generator.
+    """
     rng = np.random.default_rng(seed)
     block_size = int(rng.choice([4, 8, 16]))
     config = EngineConfig(
         block_size=block_size,
-        kv_policy="ondemand",
+        kv_policy=kv_policies[seed // len(layouts) % len(kv_policies)],
         max_batch_size=int(rng.choice([6, 32, 1000])),
         prefill_chunk=(None, 8, 24)[int(rng.integers(3))],
         preempt_mode=("recompute", "swap")[int(rng.integers(2))],
-        **LAYOUTS[seed % len(LAYOUTS)],
+        **layouts[seed % len(layouts)],
     )
     # Never a multiple of the block size, so the prefix ends in a partial
     # tail block; a prompt that *is* the prefix maps that tail shared and

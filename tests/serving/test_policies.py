@@ -436,7 +436,7 @@ class TestPrefixSharingAdmission:
         keeper, victim = sharers
         for seq in sharers:  # prefill: each emits its first token
             seq.advance(now=1.0)
-        sched._preempt(victim)
+        sched.preempt(victim)
         assert victim.recompute_base == 1
         sched.admit(now=2.0)
         assert victim.state is RequestState.RUNNING
