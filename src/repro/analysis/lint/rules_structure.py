@@ -26,7 +26,10 @@ from .diagnostics import Diagnostic, FileContext, Rule, register_rule
 __all__ = ["SlotsRule", "ReportSchemaRule", "HOT_PATH_MODULES"]
 
 #: Modules whose every class is on the engine hot path and must be slotted.
-HOT_PATH_MODULES: tuple[str, ...] = ("src/repro/serving/request.py",)
+HOT_PATH_MODULES: tuple[str, ...] = (
+    "src/repro/serving/request.py",
+    "src/repro/serving/cost.py",
+)
 
 #: Marker comment opting an individual class into the slots requirement.
 HOT_PATH_MARKER = "# milo: hot-path"
@@ -118,10 +121,14 @@ def _is_slotted(node: ast.ClassDef) -> bool:
 #: Name of the declared report-schema constant RPT001 checks against.
 REPORT_SCHEMA_CONSTANT = "REPORT_SCHEMA_KEYS"
 
-#: Functions/methods that build pieces of the serving report (``run``
-#: assembles the overlap section inline).
+#: Functions/methods that build pieces of the serving report: the report
+#: itself, ``run`` (which picks its optional sections) and the
+#: ``RunTotals`` section builders.
 _REPORT_FUNCS: frozenset[str] = frozenset(
-    {"to_dict", "_build_report", "_cluster_section", "run"}
+    {
+        "to_dict", "_build_report", "run",
+        "cluster_section", "overlap_section", "migration_section",
+    }
 )
 
 
@@ -132,7 +139,8 @@ class ReportSchemaRule(Rule):
     code = "RPT001"
     description = (
         "report-dict keys written in report builders (to_dict/_build_report/"
-        "_cluster_section/run) must appear in REPORT_SCHEMA_KEYS"
+        "run and the cluster/overlap/migration_section builders) must appear "
+        "in REPORT_SCHEMA_KEYS"
     )
     scope = ("src/repro/serving/engine.py",)
 

@@ -463,8 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fast-path",
         action="store_true",
         help="force the general per-iteration engine loop instead of the "
-        "event-driven steady-state fast path (debugging aid; reports are "
-        "bit-identical either way)",
+        "event-driven steady-state fast path, which only colocated runs with "
+        "reserve KV and the default scheduling policy take (--disagg and "
+        "ondemand KV always run the general loop); a debugging aid, reports "
+        "are bit-identical either way",
     )
     s.add_argument("--per-request", action="store_true", help="include per-request records")
     s.add_argument(

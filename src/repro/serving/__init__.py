@@ -45,13 +45,15 @@ Memory and scheduling decisions are *policies*, not hard-wired behavior:
   placement (:class:`LayeredExpertPlacement`, Fig. 3 skew differs by
   depth), its own max-over-devices compute term, and its all-to-all
   overlaps with the next layer's compute
-  (:func:`~repro.serving.engine.overlap_step_seconds`, scaled by the
+  (:func:`~repro.serving.cost.overlap_step_seconds`, scaled by the
   device's ``overlap_efficiency``).  A :class:`RoutingDriftTracker` window
   optionally re-packs drifted layers at run time
   (``EngineConfig.replacement_threshold``), pricing moved expert weights
   over the interconnect (:func:`expert_migration_seconds`); the report
   gains an ``overlap`` section.  With ``overlap=False`` (default) the
-  serial whole-model cost model is untouched, byte for byte.
+  serial whole-model cost model is untouched, byte for byte.  Every mode
+  is priced by one :class:`~repro.serving.cost.CostModel` over the
+  engine's pools × layers.
 * Disaggregated prefill/decode serving (``EngineConfig.prefill_devices`` /
   ``decode_devices``, ``milo serve --disagg P:D``): the device group splits
   into a prefill pool and a decode pool, each spanning the whole model with

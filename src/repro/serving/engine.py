@@ -56,20 +56,21 @@ The routed experts are sharded across N copies of the backend's device by an
 ``frequency`` skew-aware packing) and the KV pool becomes a
 :class:`~repro.serving.cluster.ShardedBlockManager` — one per-device pool,
 sized from that device's *own* leftover VRAM (replicated weights + its
-experts' share), each admission pinned to the least-loaded home device.  The
-iteration cost becomes the max over per-device costs: every device runs its
-experts' share of the token load (split by Fig. 3 routing-frequency mass, so
-skew creates stragglers) plus an all-to-all term for tokens dispatched to
-remote experts.  ``devices=1`` reduces to the exact pre-sharding engine,
-byte for byte (``tests/serving/test_golden_equivalence.py`` pins this).
+experts' share), each admission pinned to the least-loaded home device.
+``devices=1`` reduces to the exact pre-sharding engine, byte for byte
+(``tests/serving/test_golden_equivalence.py`` pins this).
+
+The iteration cost is priced by one :class:`~repro.serving.cost.CostModel`
+over the engine's pools × layers (colocated, ``--disagg`` and ``--overlap``
+alike): every device runs its experts' share of the token load (split by
+Fig. 3 routing-frequency mass, so skew creates stragglers) plus an
+all-to-all term for tokens dispatched to remote experts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable
-
-import numpy as np
 
 if TYPE_CHECKING:
     from .telemetry.metrics import MetricsRegistry
@@ -87,13 +88,12 @@ from .cluster import (
     PLACEMENT_POLICIES,
     DeviceGroup,
     ExpertPlacement,
-    LayeredExpertPlacement,
     RoutingDriftTracker,
     ShardedBlockManager,
     expert_migration_seconds,
     make_expert_placement,
-    split_tokens,
 )
+from .cost import CostModel, IterationCost, overlap_step_seconds
 from .kv_cache import (
     ALLOCATION_POLICIES,
     BlockManager,
@@ -115,6 +115,7 @@ __all__ = [
     "EngineConfig",
     "ServingReport",
     "ServingEngine",
+    "RunTotals",
     "REPORT_SCHEMA_KEYS",
     "expert_weight_fraction",
     "overlap_step_seconds",
@@ -123,9 +124,9 @@ __all__ = [
 #: Every key the serving report may contain, at any nesting level.  The
 #: ``report_sha256`` regression gate hashes the report verbatim, so adding
 #: a key anywhere changes the hash of every benchmark; RPT001 (milo lint)
-#: rejects any key written in ``to_dict`` / ``_build_report`` /
-#: ``_cluster_section`` / ``run`` that is not declared here, making every
-#: schema change an explicit two-line diff (the write + this constant).
+#: rejects any key written in ``to_dict`` / ``_build_report`` / ``run`` or
+#: a :class:`RunTotals` section builder that is not declared here, making
+#: every schema change an explicit two-line diff (the write + this constant).
 REPORT_SCHEMA_KEYS: frozenset[str] = frozenset(
     {
         # top level
@@ -224,64 +225,159 @@ REPORT_SCHEMA_KEYS: frozenset[str] = frozenset(
 #: cannot trigger a migration storm.
 DRIFT_WINDOW = 16
 
-#: Totals handed from either engine loop to ``run``: (clock, iterations,
-#: total_tokens, peak_batch, peak_used_blocks, peak_shared_blocks,
-#: peak_used_per_device, straggler_max_s, straggler_mean_s,
-#: alltoall_tokens, hidden_comm_s, comm_total_s, migration_s,
-#: replacements, disagg_totals).  ``disagg_totals`` nests the KV-movement
-#: accounting of disaggregated / swap-mode runs: (handoffs, handoff_blocks,
-#: handoff_s, rebalances, rebalanced_blocks, rebalance_s, swap_in_s,
-#: recompute_equivalent_s) — all zero whenever the run cannot move KV (the
-#: fast path never does: disagg forces the general loop and reservation
-#: allocation never preempts, so there is nothing to swap).  Both loops
-#: MUST populate every slot identically — the fast/general
-#: byte-equivalence tests hash reports built from these.
-_RunTotals = tuple[
-    float, int, int, int, int, int, list[int],
-    float, float, int, float, float, float, int,
-    tuple[int, int, float, int, int, float, float, float],
-]
 
+@dataclass(slots=True)
+class RunTotals:  # milo: hot-path
+    """What one engine loop accumulated over a run, and the report sections
+    built from it.
 
-#: Home-independent half of one layered overlap iteration cost, memoized per
-#: ``(tokens, placement_epoch)``: each layer's per-device token loads (an
-#: int32 ``layers x devices`` array), each layer's critical-path compute (a
-#: float64 array), the summed max and loaded-mean computes, and the
-#: per-device compute sums trace events report.  Arrays keep the memo small:
-#: a few hundred distinct token counts occur per thousand requests.
-_OverlapSplit = tuple[np.ndarray, np.ndarray, float, float, tuple[float, ...]]
-
-
-def overlap_step_seconds(
-    compute_s: Iterable[float], comm_s: Iterable[float], efficiency: float
-) -> tuple[float, float]:
-    """Step time of one layered iteration with dispatch/combine overlap.
-
-    ``compute_s[l]`` is layer ``l``'s critical-path compute and ``comm_s[l]``
-    its all-to-all time; the communication of layer ``l`` overlaps with the
-    compute of layer ``l + 1``, hiding ``efficiency * min(compute, comm)``
-    seconds at each boundary.  Returns ``(step_seconds, hidden_seconds)``.
-
-    At ``efficiency=0`` the result is bit-for-bit the serial layered cost
-    ``sum_l (compute_s[l] + comm_s[l])`` — same accumulation order, and
-    ``x - 0.0 == x`` exactly in IEEE arithmetic for the non-negative carries
-    involved.  At ``efficiency=1`` every boundary degenerates to
-    ``max(compute_l, comm_{l-1})``.  The hidden term never exceeds either
-    operand, so the overlap step is monotonically <= the serial step for any
-    efficiency in [0, 1] (``tests/serving/test_overlap.py`` pins both
-    properties).
+    Both loops fill the same fields; the KV-movement ones (handoffs,
+    rebalances, swap-ins) stay zero on the fast path, which never runs
+    disaggregated and, under reservation allocation, never preempts.
     """
-    step = 0.0
-    hidden_total = 0.0
-    carry = 0.0  # the previous layer's combine still in flight
-    for compute, comm in zip(compute_s, comm_s):
-        hidden = efficiency * (compute if compute < carry else carry)
-        step += compute + (carry - hidden)
-        hidden_total += hidden
-        carry = comm
-    # The last layer's combine has no successor compute to hide under.
-    step += carry
-    return step, hidden_total
+
+    #: Highest KV blocks in use per device (multi-device runs only).
+    peak_used_per_device: list[int]
+    clock: float = 0.0
+    iterations: int = 0
+    total_tokens: int = 0
+    peak_batch: int = 0
+    peak_used_blocks: int = 0
+    peak_shared_blocks: int = 0
+    #: Σ_iter slowest-device compute and Σ_iter loaded-device mean compute.
+    straggler_max_s: float = 0.0
+    straggler_mean_s: float = 0.0
+    alltoall_tokens: int = 0
+    hidden_comm_s: float = 0.0
+    comm_total_s: float = 0.0
+    migration_s: float = 0.0
+    replacements: int = 0
+    handoffs: int = 0
+    handoff_blocks: int = 0
+    handoff_s: float = 0.0
+    rebalances: int = 0
+    rebalanced_blocks: int = 0
+    rebalance_s: float = 0.0
+    swap_in_s: float = 0.0
+    recompute_equivalent_s: float = 0.0
+
+    def charge(self, cost: IterationCost, iterations: int = 1) -> None:
+        """Accumulate ``iterations`` consecutive iterations priced ``cost``.
+
+        One sequential add per iteration into each float total: the exact
+        operations of charging the iterations one at a time.
+        """
+        self.alltoall_tokens += cost.remote_tokens * iterations
+        max_s = self.straggler_max_s
+        mean_s = self.straggler_mean_s
+        for _ in range(iterations):
+            max_s += cost.max_compute
+            mean_s += cost.mean_compute
+        self.straggler_max_s = max_s
+        self.straggler_mean_s = mean_s
+        hidden, comm = cost.hidden, cost.comm
+        if hidden is not None and comm is not None:
+            hidden_s = self.hidden_comm_s
+            comm_s = self.comm_total_s
+            for _ in range(iterations):
+                hidden_s += hidden
+                comm_s += comm
+            self.hidden_comm_s = hidden_s
+            self.comm_total_s = comm_s
+
+    def sample_kv(self, block_manager: BlockManager | ShardedBlockManager) -> None:
+        """Raise the KV peaks to the pool's current occupancy."""
+        used = block_manager.used_blocks
+        if used > self.peak_used_blocks:
+            self.peak_used_blocks = used
+        shared = block_manager.shared_blocks
+        if shared > self.peak_shared_blocks:
+            self.peak_shared_blocks = shared
+        peaks = self.peak_used_per_device
+        if len(peaks) > 1:
+            for d, peak in enumerate(peaks):
+                u = block_manager.used_blocks_on(d)
+                if u > peak:
+                    peaks[d] = u
+
+    def cluster_section(self, engine: ServingEngine) -> dict[str, Any]:
+        """The report's ``cluster`` section (multi-device runs only)."""
+        per_device = []
+        for d, name in enumerate(engine.device_group.names):
+            blocks = engine.block_manager.num_blocks_on(d)
+            # Each pool spans the whole model on its own devices, so the
+            # expert count and load share come from the pool-local placement.
+            placement, local = engine._pool_placement(d)
+            entry: dict[str, Any] = {"device": name}
+            if engine._disagg:
+                entry["role"] = "prefill" if d < engine.config.prefill_devices else "decode"
+            peak = self.peak_used_per_device[d]
+            entry.update(
+                {
+                    "experts": placement.experts_on(local),
+                    "expert_load_share": round(placement.device_mass[local], 6),
+                    "kv_blocks": blocks,
+                    "kv_peak_used_blocks": peak,
+                    "kv_utilization_peak": peak / blocks if blocks else 0.0,
+                }
+            )
+            per_device.append(entry)
+        # The skew baseline is the per-iteration mean over devices that
+        # actually received token load: a device the placement left
+        # expert-less is idle by construction, and `split_tokens` hands a
+        # low-mass device zero tokens in a small batch — either way its 0.0
+        # compute would deflate the mean and inflate the ratio with a
+        # denominator artifact.  ``straggler_mean_s`` accumulates
+        # Σ_iter (Σ_loaded compute / loaded), so max >= mean holds inside
+        # every iteration and the ratio is always >= 1.0.
+        return {
+            "devices": len(engine.device_group),
+            "placement": engine.placement.name,
+            # Time lost to routing skew: the slowest device's compute over
+            # the loaded-device mean compute (1.0 = no skew).
+            "straggler_ratio": (
+                self.straggler_max_s / self.straggler_mean_s
+                if self.straggler_mean_s
+                else 1.0
+            ),
+            # Token counts are whole numbers; the per-iteration remote counts
+            # are accumulated as exact integers end-to-end.
+            "alltoall_tokens": self.alltoall_tokens,
+            "per_device": per_device,
+        }
+
+    def overlap_section(self, efficiency: float) -> dict[str, Any]:
+        """The report's ``overlap`` section (``overlap=True`` runs only)."""
+        return {
+            "efficiency": efficiency,
+            "hidden_comm_s": self.hidden_comm_s,
+            "overlap_ratio": (
+                self.hidden_comm_s / self.comm_total_s if self.comm_total_s else 0.0
+            ),
+            "replacements": self.replacements,
+            "migration_s": self.migration_s,
+        }
+
+    def migration_section(
+        self, config: EngineConfig, scheduler: ContinuousBatchingScheduler
+    ) -> dict[str, Any]:
+        """The report's ``migration`` section (disaggregated or swap-mode runs)."""
+        return {
+            "prefill_devices": config.prefill_devices,
+            "decode_devices": config.decode_devices,
+            "handoffs": self.handoffs,
+            "handoff_blocks": self.handoff_blocks,
+            "handoff_s": self.handoff_s,
+            "rebalances": self.rebalances,
+            "rebalanced_blocks": self.rebalanced_blocks,
+            "rebalance_s": self.rebalance_s,
+            "swaps": scheduler.swaps,
+            "swapped_blocks": scheduler.swapped_blocks,
+            "swap_in_s": self.swap_in_s,
+            # What the swapped KV would have cost to re-prefill instead:
+            # swap vs recompute directly comparable from one run.
+            "recompute_equivalent_s": self.recompute_equivalent_s,
+        }
 
 
 def expert_weight_fraction(spec: FullModelSpec) -> float:
@@ -373,11 +469,13 @@ class EngineConfig:
     #: test); benchmarks turn it off — it never changes the report, only
     #: whether accounting bugs raise.
     debug_checks: bool = True
-    #: Use the steady-state fast path (reservation allocation + default
-    #: scheduling policy only): uneventful pure-decode iterations are
-    #: compressed into a tight loop that repeats the exact per-iteration
-    #: float operations, so reports stay bit-identical to the general
-    #: per-iteration loop (``False`` forces that loop; used by the
+    #: Use the steady-state fast path where it applies: uneventful
+    #: pure-decode iterations are compressed into a tight loop that repeats
+    #: the exact per-iteration float operations, so reports stay
+    #: bit-identical to the general per-iteration loop.  Only colocated
+    #: (not disaggregated) engines with reservation allocation and the
+    #: default scheduling policy take it; every other configuration runs the
+    #: general loop either way.  ``False`` forces that loop (used by the
     #: equivalence tests and as an escape hatch).
     fast_path: bool = True
 
@@ -588,22 +686,48 @@ class ServingEngine:
         #: device's weight footprint (and therefore KV pool) follows from the
         #: prefill placement, not the global colocated one.
         self._disagg = self.config.prefill_devices > 0
+        placements: tuple[ExpertPlacement, ...] = (self.placement,)
         if self._disagg:
             self._prefill_pool = tuple(range(self.config.prefill_devices))
             self._decode_pool = tuple(
                 range(self.config.prefill_devices, self.config.devices)
             )
-            self._prefill_placement = make_expert_placement(
-                self.config.placement, frequencies, self.config.prefill_devices
+            placements = tuple(
+                make_expert_placement(self.config.placement, frequencies, n)
+                for n in (self.config.prefill_devices, self.config.decode_devices)
             )
-            self._decode_placement = make_expert_placement(
-                self.config.placement, frequencies, self.config.decode_devices
+
+        # -- overlap-aware layered cost model --------------------------------
+        self._overlap = self.config.overlap
+        self._drift: RoutingDriftTracker | None = None
+        rows: list[tuple[float, ...]] | None = None
+        if self._overlap:
+            if self.config.layer_frequencies is not None:
+                rows = [tuple(float(f) for f in row) for row in self.config.layer_frequencies]
+                if len(rows) != spec.num_layers:
+                    raise ValueError(
+                        f"layer_frequencies has {len(rows)} rows but {spec.name} "
+                        f"has {spec.num_layers} MoE layers"
+                    )
+            else:
+                rows = [
+                    tuple(row)
+                    for row in fig3_layer_frequencies(spec.num_layers, spec.num_experts)
+                ]
+            #: Bytes of one expert's weights in one layer — the unit of
+            #: migration priced when re-placement moves a (layer, expert)
+            #: shard across the interconnect.
+            self._expert_layer_bytes = (
+                backend.model_memory_gb(spec)
+                * expert_weight_fraction(spec)
+                * 1024**3
+                / (spec.num_experts * spec.num_layers)
             )
-        #: Interconnect time to dispatch one routed token to a remote expert
-        #: and combine its output back (hidden activations cross twice, FP16).
-        self._alltoall_s_per_token = (
-            2 * spec.hidden_size * 2 / backend.device.interconnect_bandwidth
-        )
+            if self.config.replacement_threshold is not None:
+                self._drift = RoutingDriftTracker(rows, window=DRIFT_WINDOW)
+        #: Prices every iteration; owns the latency and cost memos, the
+        #: layered placement and its re-placement epoch.
+        self.cost_model = CostModel(backend, spec, placements, rows)
 
         if self.config.devices == 1:
             # Single device: the exact pre-sharding construction (one global
@@ -634,14 +758,11 @@ class ServingEngine:
             expert_frac = expert_weight_fraction(spec)
             pools = []
             for d, name in enumerate(self.device_group.names):
-                if self._disagg:
-                    # Decode-pool misfits must name the decode device: its
-                    # pool-local placement decides how many experts it hosts,
-                    # and the error is actionable only if it points there.
-                    pool_placement, local = self._pool_placement(d)
-                    local_experts = pool_placement.experts_on(local)
-                else:
-                    local_experts = self.placement.experts_on(d)
+                # Decode-pool misfits must name the decode device: its
+                # pool-local placement decides how many experts it hosts,
+                # and the error is actionable only if it points there.
+                pool_placement, local = self._pool_placement(d)
+                local_experts = pool_placement.experts_on(local)
                 weights_gb = total_weights_gb * (
                     (1.0 - expert_frac) + expert_frac * local_experts / spec.num_experts
                 )
@@ -679,19 +800,6 @@ class ServingEngine:
         self._handoff_s_per_block = block_bytes / backend.device.interconnect_bandwidth
         self._swap_s_per_block = block_bytes / backend.device.host_bandwidth
 
-        #: Memoized backend step latency per token-load (pure in the load for
-        #: a fixed backend/spec, so it persists across runs).
-        self._latency_cache: dict[int, float] = {}
-        #: Memoized per-iteration cost beyond the single-int latency cache:
-        #: keyed by the batch token count (single device) or by
-        #: ``(tokens, per-device home token counts)`` (multi-device), holding
-        #: the full ``(step, max_compute, mean_compute, remotes)`` result of
-        #: the device loop.
-        self._cost_cache: dict[object, tuple[Any, ...]] = {}
-        #: Overlap mode: the home-independent per-layer split of each
-        #: ``(tokens, placement_epoch)`` (see :meth:`_overlap_split`).
-        self._split_cache: dict[tuple[int, int], _OverlapSplit] = {}
-
         # -- telemetry (opt-in; see repro.serving.telemetry) ------------------
         #: Attached via :meth:`enable_telemetry`; ``None`` keeps every hook
         #: on the hot paths behind a single ``is not None`` test, so the
@@ -700,63 +808,17 @@ class ServingEngine:
         #: ``telemetry_overhead_frac`` benchmark gate the latter).
         self.tracer: Tracer | None = None
         self.metrics: MetricsRegistry | None = None
-        #: Memoized per-device compute tuples for iteration trace events —
-        #: telemetry-only derived data, deliberately separate from
-        #: ``_cost_cache`` so enabling tracing cannot perturb the report
-        #: math's memo population order.
-        self._telemetry_cost_cache: dict[object, tuple[float, ...]] = {}
 
-        # -- overlap-aware layered cost model --------------------------------
-        self._overlap = self.config.overlap
-        self._drift: RoutingDriftTracker | None = None
-        #: Bumped at every dynamic expert re-placement; part of the overlap
-        #: cost memo key (a re-packed layer changes every iteration cost) and
-        #: stamped onto sequences at admission via the scheduler.
-        self._placement_epoch = 0
-        if self._overlap:
-            if self.config.layer_frequencies is not None:
-                rows = [tuple(float(f) for f in row) for row in self.config.layer_frequencies]
-                if len(rows) != spec.num_layers:
-                    raise ValueError(
-                        f"layer_frequencies has {len(rows)} rows but {spec.name} "
-                        f"has {spec.num_layers} MoE layers"
-                    )
-            else:
-                rows = [
-                    tuple(row)
-                    for row in fig3_layer_frequencies(spec.num_layers, spec.num_experts)
-                ]
-            #: Pristine per-layer profile rows, kept so repeated ``run()``
-            #: calls can rebuild the layered placement dynamic re-placement
-            #: may have mutated (run-to-run determinism).
-            self._layer_rows = rows
-            self.layered_placement = LayeredExpertPlacement(self.placement, rows)
-            self._alltoall_s_per_layer_token = self._alltoall_s_per_token / spec.num_layers
-            self._overlap_efficiency = min(
-                1.0, max(0.0, backend.device.overlap_efficiency)
-            )
-            #: Bytes of one expert's weights in one layer — the unit of
-            #: migration priced when re-placement moves a (layer, expert)
-            #: shard across the interconnect.
-            self._expert_layer_bytes = (
-                backend.model_memory_gb(spec)
-                * expert_weight_fraction(spec)
-                * 1024**3
-                / (spec.num_experts * spec.num_layers)
-            )
-            if self.config.replacement_threshold is not None:
-                self._drift = RoutingDriftTracker(rows, window=DRIFT_WINDOW)
 
     def _pool_placement(self, d: int) -> tuple[ExpertPlacement, int]:
-        """Pool-local placement serving global device ``d``, and its index in it.
-
-        Disaggregated engines only: devices ``0..P-1`` belong to the prefill
-        placement, ``P..P+D-1`` to the decode placement.
-        """
-        prefill = self.config.prefill_devices
-        if d < prefill:
-            return self._prefill_placement, d
-        return self._decode_placement, d - prefill
+        """Placement of the pool serving global device ``d``, and ``d``'s
+        index in it (disaggregated: devices ``0..P-1`` are the prefill pool,
+        ``P..P+D-1`` the decode pool)."""
+        for placement in self.cost_model.pools:
+            if d < placement.num_devices:
+                return placement, d
+            d -= placement.num_devices
+        raise IndexError("device index out of range")
 
     # -- capacity ----------------------------------------------------------------
     def max_batch_size(self, tokens_per_sequence: int) -> int:
@@ -818,73 +880,6 @@ class ServingEngine:
         else:
             block_manager.tracer = tracer
 
-    def _telemetry_per_device(
-        self, tokens: int, home_key: tuple[int, ...]
-    ) -> tuple[float, ...]:
-        """Per-device compute seconds of one iteration, for trace events.
-
-        Derived from the same memoized latencies the cost model reads, but
-        kept in a separate telemetry-only memo: the report math's caches see
-        the identical access pattern whether or not tracing is on.  The
-        split depends only on the token count (device mass fixes the
-        shares; ``home_key`` shifts communication, not compute), so the key
-        is ``tokens``.  Under overlap the per-layer split memo the cost
-        model already filled for this iteration holds the sums.
-        """
-        if self._overlap:
-            return self._overlap_split(tokens)[4]
-        pool_tokens: tuple[int, int] | None = None
-        key: object
-        if self._disagg:
-            # Each pool splits its *own* token share by its own placement's
-            # mass, so the split depends on the (prefill, decode) pool token
-            # pair rather than the batch total.
-            prefill = self.config.prefill_devices
-            pool_tokens = (sum(home_key[:prefill]), sum(home_key[prefill:]))
-            key = ("dg",) + pool_tokens
-        else:
-            key = tokens
-        entry = self._telemetry_cost_cache.get(key)
-        if entry is not None:
-            return entry
-        latency_cache = self._latency_cache
-        backend = self.backend
-        spec = self.spec
-        if pool_tokens is not None:
-            computes = []
-            for placement, ptokens in zip(
-                (self._prefill_placement, self._decode_placement), pool_tokens
-            ):
-                if not ptokens:
-                    computes.extend([0.0] * len(placement.device_mass))
-                    continue
-                for load in split_tokens(ptokens, placement.device_mass):
-                    if load:
-                        compute = latency_cache.get(load)
-                        if compute is None:
-                            compute = backend.iteration_latency(spec, load).total
-                            latency_cache[load] = compute
-                        computes.append(compute)
-                    else:
-                        computes.append(0.0)
-            entry = tuple(computes)
-        else:
-            computes = []
-            for load in split_tokens(tokens, self.placement.device_mass):
-                if load:
-                    compute = latency_cache.get(load)
-                    if compute is None:
-                        compute = backend.iteration_latency(spec, load).total
-                        latency_cache[load] = compute
-                    computes.append(compute)
-                else:
-                    computes.append(0.0)
-            entry = tuple(computes)
-        if len(self._telemetry_cost_cache) >= 262144:
-            self._telemetry_cost_cache.clear()
-        self._telemetry_cost_cache[key] = entry
-        return entry
-
     def _sample_metrics(
         self,
         metrics: MetricsRegistry,
@@ -907,7 +902,7 @@ class ServingEngine:
             batch=batch,
             waiting=len(scheduler.waiting),
             preemptions=scheduler.preemptions,
-            placement_epoch=self._placement_epoch,
+            placement_epoch=self.cost_model.epoch,
             used_blocks=block_manager.used_blocks,
             free_blocks=block_manager.free_blocks,
             free_per_device=free_per_device,
@@ -921,30 +916,21 @@ class ServingEngine:
         scheduler = self.make_scheduler()
         scheduler.tracer = self.tracer
         self.block_manager.reset_stats()
-        if self._overlap:
-            # Dynamic re-placement mutates the layered placement mid-run;
-            # rebuild it from the pristine profile so every run() starts from
-            # the same state (run-to-run determinism), and drop the cost memo
-            # whose epoch-tagged keys would otherwise alias across runs.
-            if self._placement_epoch > 0:
-                self.layered_placement = LayeredExpertPlacement(
-                    self.placement, self._layer_rows
-                )
-                self._placement_epoch = 0
-                self._cost_cache.clear()
-                self._split_cache.clear()
-                self._telemetry_cost_cache.clear()
-            if self._drift is not None:
-                self._drift.reset()
+        # Dynamic re-placement mutates the layered placement mid-run; every
+        # run() starts from the pristine one (run-to-run determinism).
+        self.cost_model.reset()
+        if self._drift is not None:
+            self._drift.reset()
         # Both loops track decode progress through the scheduler's decode
         # tracker (finish and KV block-boundary events).  The fast path
         # additionally macro-steps the iterations between events, which
         # requires two properties the general loop does not: blocks move
         # only at admission/eviction (reservation allocation — no growth,
-        # preemption or copy-on-write mid-decode), and the admission outcome
-        # is a pure function of (waiting, running, pool) state (the default
-        # policy), so a failed admit need not be retried until that state
-        # changes.  Everything else takes the general per-iteration loop.
+        # preemption or copy-on-write mid-decode — and no disaggregated
+        # handoff), and the admission outcome is a pure function of
+        # (waiting, running, pool) state (the default policy), so a failed
+        # admit need not be retried until that state changes.  Everything
+        # else takes the general per-iteration loop.
         # Both produce bit-identical reports (goldens + equivalence tests
         # pin this).
         if (
@@ -956,303 +942,26 @@ class ServingEngine:
             totals = self._run_fast(pending, scheduler)
         else:
             totals = self._run_general(pending, scheduler)
-        (clock, iterations, total_tokens, peak_batch, peak_used_blocks,
-         peak_shared_blocks, peak_used_per_device,
-         straggler_max_s, straggler_mean_s, alltoall_tokens,
-         hidden_comm_s, comm_total_s, migration_s, replacements,
-         disagg_totals) = totals
         if self.tracer is not None:
-            self.tracer.now = clock  # strand events carry the final clock
+            self.tracer.now = totals.clock  # strand events carry the final clock
         scheduler.drain_stranded()
         if self.config.debug_checks:
             self.block_manager.assert_no_leaks()
-        cluster = None
-        if len(self.device_group) > 1:
-            cluster = self._cluster_section(
-                peak_used_per_device, straggler_max_s, straggler_mean_s, alltoall_tokens
-            )
-        overlap = None
-        if self._overlap:
-            overlap = {
-                "efficiency": self._overlap_efficiency,
-                "hidden_comm_s": hidden_comm_s,
-                "overlap_ratio": (
-                    hidden_comm_s / comm_total_s if comm_total_s else 0.0
-                ),
-                "replacements": replacements,
-                "migration_s": migration_s,
-            }
-        migration = None
-        if self._disagg or self.config.preempt_mode == "swap":
-            (handoffs, handoff_blocks, handoff_s, rebalances, rebalanced_blocks,
-             rebalance_s, swap_in_s, recompute_equivalent_s) = disagg_totals
-            migration = {
-                "prefill_devices": self.config.prefill_devices,
-                "decode_devices": self.config.decode_devices,
-                "handoffs": handoffs,
-                "handoff_blocks": handoff_blocks,
-                "handoff_s": handoff_s,
-                "rebalances": rebalances,
-                "rebalanced_blocks": rebalanced_blocks,
-                "rebalance_s": rebalance_s,
-                "swaps": scheduler.swaps,
-                "swapped_blocks": scheduler.swapped_blocks,
-                "swap_in_s": swap_in_s,
-                # What the swapped KV would have cost to re-prefill instead:
-                # swap vs recompute directly comparable from one run.
-                "recompute_equivalent_s": recompute_equivalent_s,
-            }
         return self._build_report(
-            scheduler, clock, iterations, total_tokens, peak_batch, peak_used_blocks,
-            peak_shared_blocks, cluster, overlap, migration,
+            scheduler,
+            totals,
+            cluster=totals.cluster_section(self) if len(self.device_group) > 1 else None,
+            overlap=(
+                totals.overlap_section(self.cost_model.efficiency) if self._overlap else None
+            ),
+            migration=(
+                totals.migration_section(self.config, scheduler)
+                if self._disagg or self.config.preempt_mode == "swap"
+                else None
+            ),
             first_submitted=pending[0].arrival_time if pending else None,
             num_submitted=len(pending),
         )
-
-    def _iteration_cost(
-        self, tokens: int, home_key: tuple[int, ...] | None
-    ) -> tuple[float, float, float, tuple[float, ...] | None]:
-        """Memoized cost of one iteration over ``tokens`` batch token rows.
-
-        The iteration costs the *max* over per-device costs: each device
-        runs its resident experts' share of the token load (split by routing
-        frequency mass — skew makes stragglers) plus the all-to-all dispatch
-        of routed tokens whose home device is not the expert's.  One device
-        degenerates to the whole batch at zero dispatch — the exact
-        pre-sharding iteration latency.
-
-        ``home_key`` is ``None`` on a single device (the cost depends only
-        on the token count) and the tuple of per-device home token counts
-        otherwise.  Returns ``(step, max_compute, mean_compute,
-        remote_tokens)``: the clock advance, the slowest device's compute,
-        the mean compute over devices that received load, and the
-        iteration's total remote-routed token count as an *integer*
-        (round-half-up of the exact rational Σ_d load_d·ept·(tokens -
-        home_d)/tokens; ``None`` single-device) — everything the caller
-        accumulates per iteration, so the memoized replay performs the
-        identical float operations the un-memoized loop did.  The *step*
-        math keeps the exact float remote term (the clock is pinned byte
-        for byte by the goldens); only the traffic *accounting* is integral.
-        """
-        key = tokens if home_key is None else (tokens, home_key)
-        entry = self._cost_cache.get(key)
-        if entry is not None:
-            return entry
-        latency_cache = self._latency_cache
-        if home_key is None:
-            compute = latency_cache.get(tokens)
-            if compute is None:
-                compute = self.backend.iteration_latency(self.spec, tokens).total
-                latency_cache[tokens] = compute
-            entry = (compute, compute, compute, None)
-        else:
-            step = 0.0
-            max_compute = 0.0
-            iter_compute_s = 0.0
-            iter_loaded = 0
-            remote_numer = 0  # Σ_d load_d · ept · (tokens - home_d), exact int
-            experts_per_token = self.spec.experts_per_token
-            alltoall_s = self._alltoall_s_per_token
-            for d, load in enumerate(split_tokens(tokens, self.placement.device_mass)):
-                if load:
-                    compute = latency_cache.get(load)
-                    if compute is None:
-                        compute = self.backend.iteration_latency(self.spec, load).total
-                        latency_cache[load] = compute
-                    # Straggler accounting covers only devices that received
-                    # token load this iteration: `split_tokens` hands a
-                    # low-mass device zero tokens in a small batch, and its
-                    # 0.0 compute must not deflate the mean.
-                    iter_compute_s += compute
-                    iter_loaded += 1
-                else:
-                    compute = 0.0
-                remote_int = load * experts_per_token * (tokens - home_key[d])
-                remote_numer += remote_int
-                remote = remote_int / tokens
-                max_compute = max(max_compute, compute)
-                step = max(step, compute + remote * alltoall_s)
-            mean_compute = iter_compute_s / iter_loaded if iter_loaded else 0.0
-            # Round-half-up of remote_numer / tokens: token counts are whole.
-            remote_tokens = (2 * remote_numer + tokens) // (2 * tokens)
-            entry = (step, max_compute, mean_compute, remote_tokens)
-        if len(self._cost_cache) >= 262144:
-            # Multi-device home mixes are unbounded in principle; keep the
-            # memo's footprint flat on adversarial workloads.
-            self._cost_cache.clear()
-        self._cost_cache[key] = entry
-        return entry
-
-    def _iteration_cost_disagg(
-        self, tokens: int, home_key: tuple[int, ...]
-    ) -> tuple[float, float, float, int]:
-        """Memoized cost of one disaggregated iteration.
-
-        The prefill pool and the decode pool run *concurrently*: each pool
-        splits its own token share (``home_key`` entries of its devices) by
-        its own placement's mass, pays its own all-to-all for tokens routed
-        to remote experts *within the pool*, and the iteration's step is the
-        max over every device of both pools.  A pool with no tokens this
-        iteration contributes nothing (its devices are idle).  Returns the
-        same ``(step, max_compute, mean_compute, remote_tokens)`` tuple as
-        :meth:`_iteration_cost`, with ``remote_tokens`` summed over pools
-        (round-half-up per pool, exact-integer accounting end to end).
-
-        Shares ``_cost_cache`` and the ``(tokens, home_key)`` key shape with
-        the colocated cost — safe because one engine instance is either
-        disaggregated or not for its whole lifetime.
-        """
-        key = (tokens, home_key)
-        entry = self._cost_cache.get(key)
-        if entry is not None:
-            return entry
-        latency_cache = self._latency_cache
-        experts_per_token = self.spec.experts_per_token
-        alltoall_s = self._alltoall_s_per_token
-        prefill = self.config.prefill_devices
-        step = 0.0
-        max_compute = 0.0
-        iter_compute_s = 0.0
-        iter_loaded = 0
-        remote_tokens = 0
-        for placement, pool_home in (
-            (self._prefill_placement, home_key[:prefill]),
-            (self._decode_placement, home_key[prefill:]),
-        ):
-            pool_tokens = sum(pool_home)
-            if not pool_tokens:
-                continue
-            remote_numer = 0
-            for d, load in enumerate(split_tokens(pool_tokens, placement.device_mass)):
-                if load:
-                    compute = latency_cache.get(load)
-                    if compute is None:
-                        compute = self.backend.iteration_latency(self.spec, load).total
-                        latency_cache[load] = compute
-                    iter_compute_s += compute
-                    iter_loaded += 1
-                else:
-                    compute = 0.0
-                remote_int = load * experts_per_token * (pool_tokens - pool_home[d])
-                remote_numer += remote_int
-                remote = remote_int / pool_tokens
-                max_compute = max(max_compute, compute)
-                step = max(step, compute + remote * alltoall_s)
-            remote_tokens += (2 * remote_numer + pool_tokens) // (2 * pool_tokens)
-        mean_compute = iter_compute_s / iter_loaded if iter_loaded else 0.0
-        entry = (step, max_compute, mean_compute, remote_tokens)
-        if len(self._cost_cache) >= 262144:
-            self._cost_cache.clear()
-        self._cost_cache[key] = entry
-        return entry
-
-    def _iteration_cost_overlap(
-        self, tokens: int, home_key: tuple[int, ...]
-    ) -> tuple[float, float, float, int, float, float]:
-        """Memoized layered cost of one iteration under the overlap model.
-
-        Decomposes the whole-model iteration into ``num_layers`` MoE layers:
-        layer ``l`` splits the batch by *its own* placement's device mass
-        (Fig. 3 skew differs by layer), costs ``max_d compute_{l,d}`` on the
-        critical path, and its all-to-all overlaps with layer ``l + 1``'s
-        compute through :func:`overlap_step_seconds`.  Per-device compute at
-        a given load is the whole-model latency divided by ``num_layers`` —
-        so a layered run whose layers all split identically reproduces the
-        serial device-loop costs exactly.
-
-        Keyed by ``(tokens, home_key, placement_epoch)``: dynamic
-        re-placement changes every layer cost, so epochs must not share memo
-        entries.  A miss reuses the home-independent per-layer split of
-        :meth:`_overlap_split` and recomputes only the dispatch terms.
-        Returns ``(step, max_compute, mean_compute, remote_tokens, hidden_s,
-        comm_s)`` — the serial tuple plus the iteration's hidden
-        communication seconds and total (un-overlapped) communication
-        seconds.
-        """
-        key = (tokens, home_key, self._placement_epoch)
-        entry = self._cost_cache.get(key)
-        if entry is not None:
-            return entry
-        loads, computes, max_compute_s, mean_compute_s, _ = self._overlap_split(tokens)
-        experts_per_token = self.spec.experts_per_token
-        # remote[l, d] = load * experts_per_token * (tokens - home_d) is
-        # exact (the int32 loads widen to int64), and each quotient by
-        # ``tokens`` is the correctly rounded double Python's int division
-        # gives (both operands stay below 2**53), so every comm term is
-        # bit-identical to the scalar per-device loop.
-        remote = loads * np.array(
-            [experts_per_token * (tokens - home) for home in home_key], dtype=np.int64
-        )
-        remote_numer = int(remote.sum())
-        comms: list[float] = (
-            (remote / tokens).max(axis=1) * self._alltoall_s_per_layer_token
-        ).tolist()
-        step, hidden_s = overlap_step_seconds(
-            computes.tolist(), comms, self._overlap_efficiency
-        )
-        comm_s = 0.0
-        for c in comms:
-            comm_s += c
-        # Mean remote tokens per layer, round-half-up — comparable to the
-        # serial engine's once-per-iteration whole-model accounting.
-        denom = self.spec.num_layers * tokens
-        remote_tokens = (2 * remote_numer + denom) // (2 * denom)
-        entry = (step, max_compute_s, mean_compute_s, remote_tokens, hidden_s, comm_s)
-        if len(self._cost_cache) >= 262144:
-            self._cost_cache.clear()
-        self._cost_cache[key] = entry
-        return entry
-
-    def _overlap_split(self, tokens: int) -> _OverlapSplit:
-        """Memoized home-independent half of the layered overlap cost.
-
-        Each layer's per-device token split and compute depend only on the
-        batch token count and the placement epoch, while the dispatch term
-        also depends on the home mix; batches with equal token counts but
-        different homes share this entry (see :data:`_OverlapSplit`).
-        """
-        key = (tokens, self._placement_epoch)
-        entry = self._split_cache.get(key)
-        if entry is not None:
-            return entry
-        latency_cache = self._latency_cache
-        spec = self.spec
-        backend = self.backend
-        num_layers = spec.num_layers
-        layer_loads: list[list[int]] = []
-        computes: list[float] = []
-        max_compute_s = 0.0
-        mean_compute_s = 0.0
-        per_device = [0.0] * len(self.device_group)
-        for mass in self.layered_placement.layer_mass:
-            layer_max = 0.0
-            layer_sum = 0.0
-            layer_loaded = 0
-            loads = split_tokens(tokens, mass)
-            for d, load in enumerate(loads):
-                if load:
-                    whole = latency_cache.get(load)
-                    if whole is None:
-                        whole = backend.iteration_latency(spec, load).total
-                        latency_cache[load] = whole
-                    compute = whole / num_layers
-                    layer_sum += compute
-                    layer_loaded += 1
-                    if compute > layer_max:
-                        layer_max = compute
-                    per_device[d] += compute
-            layer_loads.append(loads)
-            computes.append(layer_max)
-            max_compute_s += layer_max
-            mean_compute_s += layer_sum / layer_loaded if layer_loaded else 0.0
-        entry = (
-            np.array(layer_loads, dtype=np.int32), np.array(computes),
-            max_compute_s, mean_compute_s, tuple(per_device),
-        )
-        if len(self._split_cache) >= 262144:
-            self._split_cache.clear()
-        self._split_cache[key] = entry
-        return entry
 
     def _observe_routing(
         self, tokens: int, scheduler: ContinuousBatchingScheduler
@@ -1273,20 +982,27 @@ class ServingEngine:
             return 0.0
         measured = drift.measured()
         drift.reset()
-        moved = self.layered_placement.repack_drifted(
-            measured, self.config.replacement_threshold
-        )
+        moved = self.cost_model.repack(measured, self.config.replacement_threshold)
         if not moved:
             return 0.0
-        self._placement_epoch += 1
-        scheduler.placement_epoch = self._placement_epoch
+        # The new epoch is stamped onto sequences admitted from now on.
+        scheduler.placement_epoch = self.cost_model.epoch
         return expert_migration_seconds(
             moved, self._expert_layer_bytes, self.backend.device.interconnect_bandwidth
         )
 
+    def _replaced_trace_cost(self, cost: IterationCost, tokens: int) -> IterationCost:
+        """Trace record of an iteration that triggered re-placement.
+
+        Its ``iter`` event has always carried the per-device compute of the
+        *new* layout (read after the re-pack), next to the old layout's
+        step and max/mean terms; the trace keeps that byte for byte.
+        """
+        return replace(cost, per_device=self.cost_model.layer_split(tokens)[4])
+
     def _run_general(
         self, pending: list[Request], scheduler: ContinuousBatchingScheduler
-    ) -> _RunTotals:
+    ) -> RunTotals:
         """The per-iteration loop: correct for every policy combination.
 
         Every iteration is simulated explicitly, but its per-sequence work
@@ -1294,45 +1010,27 @@ class ServingEngine:
         counted per home device and advanced through the scheduler's
         :class:`~repro.serving.scheduler.DecodeTracker` (finish and KV
         block-boundary heaps over one shared iteration counter), so only
-        the prefilling sequences are walked.  The device cost loop is
+        the prefilling sequences are walked.  The iteration cost is
         memoized, eviction skipped on iterations nothing finished,
         ``ensure_capacity`` skipped for non-growing allocation, and the KV
         peaks re-read only after the pool's occupancy may have risen.
         """
+        num_devices = len(self.device_group)
+        totals = RunTotals([0] * num_devices)
         clock = 0.0
         next_arrival = 0
         n_pending = len(pending)
         iterations = 0
         total_tokens = 0
-        peak_batch = 0
-        peak_used_blocks = 0
-        peak_shared_blocks = 0
-        num_devices = len(self.device_group)
-        peak_used_per_device = [0] * num_devices
-        straggler_max_s = 0.0
-        straggler_mean_s = 0.0
-        alltoall_tokens = 0
-        hidden_comm_s = 0.0
-        comm_total_s = 0.0
-        migration_s = 0.0
-        replacements = 0
-        handoffs = 0
-        handoff_blocks = 0
-        handoff_s = 0.0
-        rebalances = 0
-        rebalanced_blocks = 0
-        rebalance_s = 0.0
-        swap_in_s = 0.0
-        recompute_equivalent_s = 0.0
         chunk = scheduler.config.prefill_chunk
         grows = scheduler.allocation.grows
         multi = num_devices > 1
-        overlap_mode = self._overlap
         disagg = self._disagg
         swap_mode = scheduler.config.preempt_mode == "swap"
         rebalance_pool = disagg and len(self._decode_pool) > 1
-        drift = self._drift if overlap_mode else None
+        drift = self._drift
         last_ckey = None
+        cost_model = self.cost_model
         block_manager = self.block_manager
         tracker = scheduler.decode
         audit = self.config.debug_checks and not grows
@@ -1371,16 +1069,12 @@ class ServingEngine:
                         stall = blocks * self._swap_s_per_block
                         resume_t0 = clock
                         clock += stall
-                        swap_in_s += stall
+                        totals.swap_in_s += stall
                         # What discarding instead would have cost: one
                         # re-prefill pass over the swapped tokens.
-                        lat = self._latency_cache.get(seq.swapped_tokens)
-                        if lat is None:
-                            lat = self.backend.iteration_latency(
-                                self.spec, seq.swapped_tokens
-                            ).total
-                            self._latency_cache[seq.swapped_tokens] = lat
-                        recompute_equivalent_s += lat
+                        totals.recompute_equivalent_s += cost_model.latency(
+                            seq.swapped_tokens
+                        )
                         if tracer is not None:
                             tracer.swap_in(seq, resume_t0, clock, blocks, stall)
                             tracer.now = clock
@@ -1395,99 +1089,49 @@ class ServingEngine:
 
             # Each decoding sequence contributes one token row; only the
             # walked (prefilling) sequences need counting one by one.
-            walked = tracker.walked
-            tokens = tracker.count
+            tokens, home_key = tracker.load(chunk)
+            cost = cost_model.cost(tokens, home_key)
             if multi:
-                home_tokens = tracker.home[:]
-                for seq in walked:
-                    t = seq.tokens_this_iteration(chunk)
-                    tokens += t
-                    home_tokens[seq.home_device] += t
-                home_key = tuple(home_tokens)
-                if overlap_mode:
-                    (step, max_compute, mean_compute, remote_tokens,
-                     hidden, comm) = self._iteration_cost_overlap(tokens, home_key)
-                    hidden_comm_s += hidden
-                    comm_total_s += comm
-                elif disagg:
-                    step, max_compute, mean_compute, remote_tokens = (
-                        self._iteration_cost_disagg(tokens, home_key)
-                    )
-                else:
-                    step, max_compute, mean_compute, remote_tokens = (
-                        self._iteration_cost(tokens, home_key)
-                    )
-                alltoall_tokens += remote_tokens
-                straggler_max_s += max_compute
-                straggler_mean_s += mean_compute
-            else:
-                for seq in walked:
-                    tokens += seq.tokens_this_iteration(chunk)
-                step = self._iteration_cost(tokens, None)[0]
+                totals.charge(cost)
             if tracer is not None:
                 iter_t0 = clock  # float addition is not invertible
-            clock += step
+            clock += cost.step
             iterations += 1
             total_tokens += tokens
-            if drift is not None:
+            if drift is not None and (tokens, home_key) != last_ckey:
                 # One observation per distinct batch composition — the fast
                 # path's macro-stepped iterations repeat the same (tokens,
                 # home) key and never observe, so the two loops agree.
-                ckey = (tokens, home_key)
-                if ckey != last_ckey:
-                    last_ckey = ckey
-                    stall = self._observe_routing(tokens, scheduler)
-                    if stall:
-                        clock += stall
-                        migration_s += stall
-                        replacements += 1
-                        if tracer is not None:
-                            iter_stall = stall
+                last_ckey = (tokens, home_key)
+                stall = self._observe_routing(tokens, scheduler)
+                if stall:
+                    clock += stall
+                    totals.migration_s += stall
+                    totals.replacements += 1
+                    if tracer is not None:
+                        iter_stall = stall
+                        cost = self._replaced_trace_cost(cost, tokens)
             batch = len(running)
             if tracer is not None:
-                if multi:
-                    if overlap_mode:
-                        tracer.iteration(
-                            iterations - 1, iter_t0, clock, tokens, batch,
-                            compute=self._telemetry_per_device(tokens, home_key),
-                            max_compute=max_compute, mean_compute=mean_compute,
-                            remote_tokens=remote_tokens,
-                            hidden=hidden, comm=comm, stall=iter_stall,
-                        )
-                    else:
-                        tracer.iteration(
-                            iterations - 1, iter_t0, clock, tokens, batch,
-                            compute=self._telemetry_per_device(tokens, home_key),
-                            max_compute=max_compute, mean_compute=mean_compute,
-                            remote_tokens=remote_tokens, stall=iter_stall,
-                        )
-                else:
-                    tracer.iteration(iterations - 1, iter_t0, clock, tokens, batch)
+                tracer.iteration(
+                    iterations - 1, iter_t0, clock, tokens, batch,
+                    cost if multi else None, iter_stall,
+                )
                 iter_stall = 0.0
                 tracer.now = clock  # finish/KV-free events below carry it
             if metrics is not None and clock >= metrics_due:
                 metrics_due = self._sample_metrics(
                     metrics, scheduler, clock, iterations, batch
                 )
-            if batch > peak_batch:
-                peak_batch = batch
+            if batch > totals.peak_batch:
+                totals.peak_batch = batch
             rises = block_manager.rises
             if rises != sampled_rises:
                 # Pool occupancy can only have risen since the last sample
                 # if a block was taken or newly shared; otherwise no peak
                 # can move and the aggregate reads are skipped.
                 sampled_rises = rises
-                used = block_manager.used_blocks
-                if used > peak_used_blocks:
-                    peak_used_blocks = used
-                shared = block_manager.shared_blocks
-                if shared > peak_shared_blocks:
-                    peak_shared_blocks = shared
-                if multi:
-                    for d in range(num_devices):
-                        u = block_manager.used_blocks_on(d)
-                        if u > peak_used_per_device[d]:
-                            peak_used_per_device[d] = u
+                totals.sample_kv(block_manager)
 
             started: list[Sequence] | None = [] if disagg else None
             finished_any = tracker.step(iterations, clock, chunk, tracer, started)
@@ -1518,9 +1162,9 @@ class ServingEngine:
                     stall = blocks * self._handoff_s_per_block
                     transfer_t0 = clock
                     clock += stall
-                    handoffs += 1
-                    handoff_blocks += blocks
-                    handoff_s += stall
+                    totals.handoffs += 1
+                    totals.handoff_blocks += blocks
+                    totals.handoff_s += stall
                     if tracer is not None:
                         tracer.handoff(
                             seq, transfer_t0, clock, src, dst, blocks, stall
@@ -1545,27 +1189,23 @@ class ServingEngine:
                         stall = blocks * self._handoff_s_per_block
                         transfer_t0 = clock
                         clock += stall
-                        rebalances += 1
-                        rebalanced_blocks += blocks
-                        rebalance_s += stall
+                        totals.rebalances += 1
+                        totals.rebalanced_blocks += blocks
+                        totals.rebalance_s += stall
                         if tracer is not None:
                             tracer.migrate(
                                 mover, transfer_t0, clock, src, dst, blocks, stall
                             )
                             tracer.now = clock
 
-        return (
-            clock, iterations, total_tokens, peak_batch, peak_used_blocks,
-            peak_shared_blocks, peak_used_per_device,
-            straggler_max_s, straggler_mean_s, alltoall_tokens,
-            hidden_comm_s, comm_total_s, migration_s, replacements,
-            (handoffs, handoff_blocks, handoff_s, rebalances,
-             rebalanced_blocks, rebalance_s, swap_in_s, recompute_equivalent_s),
-        )
+        totals.clock = clock
+        totals.iterations = iterations
+        totals.total_tokens = total_tokens
+        return totals
 
     def _run_fast(
         self, pending: list[Request], scheduler: ContinuousBatchingScheduler
-    ) -> _RunTotals:
+    ) -> RunTotals:
         """Event-driven loop for reservation allocation + the default policy.
 
         Rests on two invariants of that combination (asserted by ``run``):
@@ -1585,37 +1225,25 @@ class ServingEngine:
         are compressed into a tight loop repeating the exact per-iteration
         float operations (bit-identical clock).
         """
+        num_devices = len(self.device_group)
+        totals = RunTotals([0] * num_devices)
         clock = 0.0
         next_arrival = 0
         n_pending = len(pending)
         iterations = 0
         total_tokens = 0
-        peak_batch = 0
-        peak_used_blocks = 0
-        peak_shared_blocks = 0
-        num_devices = len(self.device_group)
-        peak_used_per_device = [0] * num_devices
-        straggler_max_s = 0.0
-        straggler_mean_s = 0.0
-        alltoall_tokens = 0
-        hidden_comm_s = 0.0
-        comm_total_s = 0.0
-        migration_s = 0.0
-        replacements = 0
         chunk = scheduler.config.prefill_chunk
         multi = num_devices > 1
-        overlap_mode = self._overlap
-        drift = self._drift if overlap_mode else None
+        drift = self._drift
         last_ckey = None
+        cost_model = self.cost_model
         block_manager = self.block_manager
         running = scheduler.running
         tracker = scheduler.decode
-        #: Decoding sequences per home device, and their finish events.
-        home_decode = tracker.home
+        #: Finish events of the decoding sequences.
         finish_heap = tracker.finish_heap
         audit = self.config.debug_checks
         admit_dirty = False
-        cost_cache = self._cost_cache
         waiting = scheduler.waiting
         inf = float("inf")
         #: Arrival time of ``pending[next_arrival]`` (``inf`` when drained),
@@ -1649,19 +1277,9 @@ class ServingEngine:
                     # Blocks move only at admission/eviction under
                     # reservation allocation, so peaks move only here.
                     batch = len(running)
-                    if batch > peak_batch:
-                        peak_batch = batch
-                    used = block_manager.used_blocks
-                    if used > peak_used_blocks:
-                        peak_used_blocks = used
-                    shared = block_manager.shared_blocks
-                    if shared > peak_shared_blocks:
-                        peak_shared_blocks = shared
-                    if multi:
-                        for d in range(num_devices):
-                            u = block_manager.used_blocks_on(d)
-                            if u > peak_used_per_device[d]:
-                                peak_used_per_device[d] = u
+                    if batch > totals.peak_batch:
+                        totals.peak_batch = batch
+                    totals.sample_kv(block_manager)
             if not running:
                 if next_arrival < n_pending:
                     # Idle: jump the clock to the next arrival.
@@ -1671,79 +1289,31 @@ class ServingEngine:
             if audit:
                 tracker.audit(running)
 
-            prefilling = tracker.walked
-            tokens = tracker.count
-            if prefilling:
-                for seq in prefilling:
-                    tokens += seq.tokens_this_iteration(chunk)
+            tokens, home_key = tracker.load(chunk)
+            cost = cost_model.cost(tokens, home_key)
             if multi:
-                if prefilling:
-                    home_tokens = home_decode[:]
-                    for seq in prefilling:
-                        home_tokens[seq.home_device] += seq.tokens_this_iteration(chunk)
-                else:
-                    home_tokens = home_decode
-                home_key = tuple(home_tokens)
-                if overlap_mode:
-                    key = (tokens, home_key, self._placement_epoch)
-                    entry = cost_cache.get(key)
-                    if entry is None:
-                        entry = self._iteration_cost_overlap(tokens, home_key)
-                    (step, max_compute, mean_compute, remote_tokens,
-                     hidden, comm) = entry
-                    hidden_comm_s += hidden
-                    comm_total_s += comm
-                else:
-                    key = (tokens, home_key)
-                    entry = cost_cache.get(key)
-                    if entry is None:
-                        entry = self._iteration_cost(*key)
-                    step, max_compute, mean_compute, remote_tokens = entry
-                alltoall_tokens += remote_tokens
-                straggler_max_s += max_compute
-                straggler_mean_s += mean_compute
-            else:
-                entry = cost_cache.get(tokens)
-                if entry is None:
-                    entry = self._iteration_cost(tokens, None)
-                step = entry[0]
+                totals.charge(cost)
             if tracer is not None:
                 iter_t0 = clock
-            clock += step
+            clock += cost.step
             iterations += 1
             total_tokens += tokens
-            if drift is not None:
+            if drift is not None and (tokens, home_key) != last_ckey:
                 # Mirror of the general loop's per-composition observation.
-                ckey = (tokens, home_key)
-                if ckey != last_ckey:
-                    last_ckey = ckey
-                    stall = self._observe_routing(tokens, scheduler)
-                    if stall:
-                        clock += stall
-                        migration_s += stall
-                        replacements += 1
-                        if tracer is not None:
-                            iter_stall = stall
+                last_ckey = (tokens, home_key)
+                stall = self._observe_routing(tokens, scheduler)
+                if stall:
+                    clock += stall
+                    totals.migration_s += stall
+                    totals.replacements += 1
+                    if tracer is not None:
+                        iter_stall = stall
+                        cost = self._replaced_trace_cost(cost, tokens)
             if tracer is not None:
-                ibatch = len(running)
-                if multi:
-                    if overlap_mode:
-                        tracer.iteration(
-                            iterations - 1, iter_t0, clock, tokens, ibatch,
-                            compute=self._telemetry_per_device(tokens, home_key),
-                            max_compute=max_compute, mean_compute=mean_compute,
-                            remote_tokens=remote_tokens,
-                            hidden=hidden, comm=comm, stall=iter_stall,
-                        )
-                    else:
-                        tracer.iteration(
-                            iterations - 1, iter_t0, clock, tokens, ibatch,
-                            compute=self._telemetry_per_device(tokens, home_key),
-                            max_compute=max_compute, mean_compute=mean_compute,
-                            remote_tokens=remote_tokens, stall=iter_stall,
-                        )
-                else:
-                    tracer.iteration(iterations - 1, iter_t0, clock, tokens, ibatch)
+                tracer.iteration(
+                    iterations - 1, iter_t0, clock, tokens, len(running),
+                    cost if multi else None, iter_stall,
+                )
                 iter_stall = 0.0
                 tracer.now = clock  # finish/KV-free events below carry it
             if metrics is not None and clock >= metrics_due:
@@ -1770,236 +1340,76 @@ class ServingEngine:
             span = finish_heap[0][0] - iterations - 1
             if span <= 0:
                 continue
+            # Pure decode: every sequence feeds one token row.
             tokens = tracker.count
-            if multi:
-                home_key = tuple(home_decode)
-                if drift is not None and (tokens, home_key) != last_ckey:
-                    # The stretch starts on a batch composition the drift
-                    # tracker has not observed (e.g. the last explicit
-                    # iteration still carried prefill tokens).  Run one
-                    # explicit iteration — it performs the observation —
-                    # before compressing; the general loop observes at
-                    # exactly that iteration too.
-                    continue
-                if overlap_mode:
-                    key = (tokens, home_key, self._placement_epoch)
-                    entry = cost_cache.get(key)
-                    if entry is None:
-                        entry = self._iteration_cost_overlap(tokens, home_key)
-                    (step, max_compute, mean_compute, remote_tokens,
-                     hidden, comm) = entry
-                else:
-                    key = (tokens, home_key)
-                    entry = cost_cache.get(key)
-                    if entry is None:
-                        entry = self._iteration_cost(*key)
-                    step, max_compute, mean_compute, remote_tokens = entry
-            else:
-                entry = cost_cache.get(tokens)
-                if entry is None:
-                    entry = self._iteration_cost(tokens, None)
-                step = entry[0]
+            home_key = tuple(tracker.home) if multi else None
+            if drift is not None and (tokens, home_key) != last_ckey:
+                # The stretch starts on a batch composition the drift
+                # tracker has not observed (e.g. the last explicit
+                # iteration still carried prefill tokens).  Run one
+                # explicit iteration — it performs the observation —
+                # before compressing; the general loop observes at
+                # exactly that iteration too.
+                continue
+            cost = cost_model.cost(tokens, home_key)
+            step = cost.step
             done = 0
             if tracer is None and metrics is None:
-                if multi:
-                    if overlap_mode:
-                        while done < span and next_at > clock:
-                            alltoall_tokens += remote_tokens
-                            straggler_max_s += max_compute
-                            straggler_mean_s += mean_compute
-                            hidden_comm_s += hidden
-                            comm_total_s += comm
-                            clock += step
-                            done += 1
-                    else:
-                        while done < span and next_at > clock:
-                            alltoall_tokens += remote_tokens
-                            straggler_max_s += max_compute
-                            straggler_mean_s += mean_compute
-                            clock += step
-                            done += 1
-                else:
-                    # Conservative unchecked prefix: after k additions the
-                    # accumulated rounding error is far below one step, so
-                    # ``(next_at - clock)/step - 2`` iterations provably keep
-                    # ``clock < next_at`` throughout — run them without the
-                    # per-iteration comparison, then finish checked.  The adds
-                    # themselves stay the exact sequential ``clock += step`` the
-                    # uncompressed loop performs (bit-identical clock).
-                    bulk = span
-                    if next_at is not inf and step > 0.0:
-                        safe = int((next_at - clock) / step) - 2
-                        if safe < bulk:
-                            bulk = safe
-                    if bulk > 0:
-                        for _ in range(bulk):
-                            clock += step
-                        done = bulk
-                    while done < span and next_at > clock:
+                # Conservative unchecked prefix: after k additions the
+                # accumulated rounding error is far below one step, so
+                # ``(next_at - clock)/step - 2`` iterations provably keep
+                # ``clock < next_at`` throughout — run them without the
+                # per-iteration comparison, then finish checked.  The adds
+                # themselves stay the exact sequential ``clock += step`` the
+                # uncompressed loop performs (bit-identical clock).
+                bulk = span
+                if next_at is not inf and step > 0.0:
+                    safe = int((next_at - clock) / step) - 2
+                    if safe < bulk:
+                        bulk = safe
+                if bulk > 0:
+                    for _ in range(bulk):
                         clock += step
-                        done += 1
+                    done = bulk
+                while done < span and next_at > clock:
+                    clock += step
+                    done += 1
             else:
-                # Telemetry variant of the macro step: the identical float
-                # accumulations in the identical order (bit-identical clock
-                # and totals — the single-device checked loop performs the
-                # same sequential ``clock += step`` adds the unchecked bulk
-                # prefix does), plus one synthesized iter event and a due
-                # check per compressed iteration, so the span stream matches
-                # the general loop's byte for byte.
+                # Telemetry variant: the identical clock adds, plus one
+                # synthesized iter event and a due check per compressed
+                # iteration, so the span stream matches the general loop's
+                # byte for byte.
+                trace_cost = cost if multi else None
                 ibatch = len(running)
-                if multi:
-                    pd = (
-                        self._telemetry_per_device(tokens, home_key)
-                        if tracer is not None
-                        else None
-                    )
-                    if overlap_mode:
-                        while done < span and next_at > clock:
-                            alltoall_tokens += remote_tokens
-                            straggler_max_s += max_compute
-                            straggler_mean_s += mean_compute
-                            hidden_comm_s += hidden
-                            comm_total_s += comm
-                            iter_t0 = clock
-                            clock += step
-                            done += 1
-                            if tracer is not None:
-                                tracer.iteration(
-                                    iterations + done - 1, iter_t0, clock,
-                                    tokens, ibatch, compute=pd,
-                                    max_compute=max_compute,
-                                    mean_compute=mean_compute,
-                                    remote_tokens=remote_tokens,
-                                    hidden=hidden, comm=comm,
-                                )
-                            if metrics is not None and clock >= metrics_due:
-                                metrics_due = self._sample_metrics(
-                                    metrics, scheduler, clock,
-                                    iterations + done, ibatch,
-                                )
-                    else:
-                        while done < span and next_at > clock:
-                            alltoall_tokens += remote_tokens
-                            straggler_max_s += max_compute
-                            straggler_mean_s += mean_compute
-                            iter_t0 = clock
-                            clock += step
-                            done += 1
-                            if tracer is not None:
-                                tracer.iteration(
-                                    iterations + done - 1, iter_t0, clock,
-                                    tokens, ibatch, compute=pd,
-                                    max_compute=max_compute,
-                                    mean_compute=mean_compute,
-                                    remote_tokens=remote_tokens,
-                                )
-                            if metrics is not None and clock >= metrics_due:
-                                metrics_due = self._sample_metrics(
-                                    metrics, scheduler, clock,
-                                    iterations + done, ibatch,
-                                )
-                else:
-                    while done < span and next_at > clock:
-                        iter_t0 = clock
-                        clock += step
-                        done += 1
-                        if tracer is not None:
-                            tracer.iteration(
-                                iterations + done - 1, iter_t0, clock,
-                                tokens, ibatch,
-                            )
-                        if metrics is not None and clock >= metrics_due:
-                            metrics_due = self._sample_metrics(
-                                metrics, scheduler, clock, iterations + done,
-                                ibatch,
-                            )
+                while done < span and next_at > clock:
+                    iter_t0 = clock
+                    clock += step
+                    done += 1
+                    if tracer is not None:
+                        tracer.iteration(
+                            iterations + done - 1, iter_t0, clock, tokens, ibatch,
+                            trace_cost,
+                        )
+                    if metrics is not None and clock >= metrics_due:
+                        metrics_due = self._sample_metrics(
+                            metrics, scheduler, clock, iterations + done, ibatch
+                        )
+            if multi:
+                totals.charge(cost, done)
             iterations += done
             tracker.iteration = iterations
             total_tokens += tokens * done
 
-        # The fast path never moves KV: disagg is excluded by ``run`` and
-        # reservation allocation never preempts, so nothing is ever swapped.
-        return (
-            clock, iterations, total_tokens, peak_batch, peak_used_blocks,
-            peak_shared_blocks, peak_used_per_device,
-            straggler_max_s, straggler_mean_s, alltoall_tokens,
-            hidden_comm_s, comm_total_s, migration_s, replacements,
-            (0, 0, 0.0, 0, 0, 0.0, 0.0, 0.0),
-        )
-
-    def _cluster_section(
-        self,
-        peak_used_per_device: list[int],
-        straggler_max_s: float,
-        straggler_mean_s: float,
-        alltoall_tokens: int,
-    ) -> dict[str, Any]:
-        """The report's ``cluster`` section (multi-device runs only)."""
-        num_devices = len(self.device_group)
-        per_device = []
-        for d, name in enumerate(self.device_group.names):
-            blocks = self.block_manager.num_blocks_on(d)
-            if self._disagg:
-                # Each pool spans the whole model on its own devices, so the
-                # expert count and load share come from the pool-local
-                # placement, tagged with the device's role.
-                pool_placement, local = self._pool_placement(d)
-                entry = {
-                    "device": name,
-                    "role": (
-                        "prefill" if d < self.config.prefill_devices else "decode"
-                    ),
-                    "experts": pool_placement.experts_on(local),
-                    "expert_load_share": round(pool_placement.device_mass[local], 6),
-                }
-            else:
-                entry = {
-                    "device": name,
-                    "experts": self.placement.experts_on(d),
-                    "expert_load_share": round(self.placement.device_mass[d], 6),
-                }
-            entry.update(
-                {
-                    "kv_blocks": blocks,
-                    "kv_peak_used_blocks": peak_used_per_device[d],
-                    "kv_utilization_peak": (
-                        peak_used_per_device[d] / blocks if blocks else 0.0
-                    ),
-                }
-            )
-            per_device.append(entry)
-        # The skew baseline is the per-iteration mean over devices that
-        # actually received token load: a device the placement left
-        # expert-less is idle by construction, and `split_tokens` hands a
-        # low-mass device zero tokens in a small batch — either way its 0.0
-        # compute would deflate the mean and inflate the ratio with a
-        # denominator artifact.  ``straggler_mean_s`` accumulates
-        # Σ_iter (Σ_loaded compute / loaded), so max >= mean holds inside
-        # every iteration and the ratio is always >= 1.0.
-        return {
-            "devices": num_devices,
-            "placement": self.placement.name,
-            # Time lost to routing skew: the slowest device's compute over
-            # the loaded-device mean compute (1.0 = no skew).
-            "straggler_ratio": (
-                straggler_max_s / straggler_mean_s if straggler_mean_s else 1.0
-            ),
-            # Token counts are whole numbers; the per-iteration remote counts
-            # are accumulated as exact integers end-to-end.
-            "alltoall_tokens": alltoall_tokens,
-            "per_device": per_device,
-        }
+        totals.clock = clock
+        totals.iterations = iterations
+        totals.total_tokens = total_tokens
+        return totals
 
     # -- reporting ---------------------------------------------------------------
     def _build_report(
         self,
         scheduler: ContinuousBatchingScheduler,
-        clock: float,
-        iterations: int,
-        total_tokens: int,
-        peak_batch: int,
-        peak_used_blocks: int,
-        peak_shared_blocks: int,
+        totals: RunTotals,
         cluster: dict | None = None,
         overlap: dict | None = None,
         migration: dict | None = None,
@@ -2087,27 +1497,29 @@ class ServingEngine:
             completed=len(finished),
             rejected=len(scheduler.rejected),
             stranded=len(scheduler.stranded),
-            iterations=iterations,
+            iterations=totals.iterations,
             preemptions=scheduler.preemptions,
             recomputed_tokens=scheduler.recomputed_tokens,
-            sim_time_s=clock,
+            sim_time_s=totals.clock,
             sustained_qps=qps,
             ttft=summarize_latencies(ttfts),
             tpot=summarize_latencies(tpots),
             e2e=summarize_latencies(e2es),
-            peak_batch=peak_batch,
-            mean_batch_tokens=(total_tokens / iterations) if iterations else 0.0,
+            peak_batch=totals.peak_batch,
+            mean_batch_tokens=(
+                totals.total_tokens / totals.iterations if totals.iterations else 0.0
+            ),
             kv_num_blocks=self.block_manager.num_blocks,
             kv_block_size=self.block_manager.block_size,
-            kv_peak_used_blocks=peak_used_blocks,
+            kv_peak_used_blocks=totals.peak_used_blocks,
             kv_utilization_peak=(
-                peak_used_blocks / self.block_manager.num_blocks
+                totals.peak_used_blocks / self.block_manager.num_blocks
                 if self.block_manager.num_blocks
                 else 0.0
             ),
             prefix_hit_tokens=self.block_manager.prefix_hit_tokens,
             prefix_hit_blocks=self.block_manager.prefix_hit_blocks,
-            prefix_shared_blocks_peak=peak_shared_blocks,
+            prefix_shared_blocks_peak=totals.peak_shared_blocks,
             prefix_cow_copies=self.block_manager.cow_copies,
             prefix_dedup_ratio=(
                 (self.block_manager.physical_allocs + self.block_manager.prefix_hit_blocks)

@@ -383,6 +383,21 @@ class DecodeTracker:
             self.home[device] += 1
         seq.home_device = device
 
+    def load(self, chunk: int | None) -> tuple[int, tuple[int, ...] | None]:
+        """Token rows the batch feeds this iteration and, on more than one
+        device, their split by home device — the cost model's key."""
+        tokens = self.count
+        if len(self.home) == 1:
+            for seq in self.walked:
+                tokens += seq.tokens_this_iteration(chunk)
+            return tokens, None
+        home = self.home[:]
+        for seq in self.walked:
+            fed = seq.tokens_this_iteration(chunk)
+            tokens += fed
+            home[seq.home_device] += fed
+        return tokens, tuple(home)
+
     def due(self) -> list[Sequence]:
         """Pop the tracked sequences whose block boundary is due now.
 

@@ -64,6 +64,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
+    from ..cost import IterationCost
     from ..request import Request, Sequence
 
 __all__ = ["TRACE_SCHEMA", "Tracer"]
@@ -261,17 +262,14 @@ class Tracer:
         t1: float,
         tokens: int,
         batch: int,
-        *,
-        compute: tuple[float, ...] | None = None,
-        max_compute: float | None = None,
-        mean_compute: float | None = None,
-        remote_tokens: int | None = None,
-        hidden: float | None = None,
-        comm: float | None = None,
+        cost: IterationCost | None = None,
         stall: float = 0.0,
     ) -> None:
         """One engine iteration (explicit or synthesized by the fast path's
-        macro-stepped decode — the two streams are byte-identical)."""
+        macro-stepped decode — the two streams are byte-identical).
+
+        ``cost`` is the iteration's price on a multi-device engine (``None``
+        on one device): the same record the report totals accumulate."""
         event: dict[str, Any] = {
             "kind": "iter",
             "i": i,
@@ -280,14 +278,14 @@ class Tracer:
             "tokens": tokens,
             "batch": batch,
         }
-        if compute is not None:
-            event["compute"] = list(compute)
-            event["max"] = max_compute
-            event["mean"] = mean_compute
-            event["remote"] = remote_tokens
-        if hidden is not None:
-            event["hidden"] = hidden
-            event["comm"] = comm
+        if cost is not None:
+            event["compute"] = list(cost.per_device)
+            event["max"] = cost.max_compute
+            event["mean"] = cost.mean_compute
+            event["remote"] = cost.remote_tokens
+            if cost.hidden is not None:
+                event["hidden"] = cost.hidden
+                event["comm"] = cost.comm
         if stall:
             event["stall"] = stall
         self.events.append(event)

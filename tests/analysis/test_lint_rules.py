@@ -253,9 +253,12 @@ class TestReg001HardcodedChoices:
 class TestSlot001Slots:
     HOT_MODULE = "src/repro/serving/request.py"
 
-    def test_unslotted_class_in_hot_module_flagged(self, tmp_path):
+    @pytest.mark.parametrize(
+        "module", ["src/repro/serving/request.py", "src/repro/serving/cost.py"]
+    )
+    def test_unslotted_class_in_hot_module_flagged(self, tmp_path, module):
         source = "class Sequence:\n    def __init__(self):\n        self.x = 1\n"
-        result = lint_snippet(tmp_path, source, rel_path=self.HOT_MODULE)
+        result = lint_snippet(tmp_path, source, rel_path=module)
         assert codes(result) == ["SLOT001"]
 
     def test_slots_clean(self, tmp_path):
@@ -326,6 +329,22 @@ class TestRpt001ReportSchema:
         )
         result = lint_snippet(tmp_path, source, rel_path=self.ENGINE_PATH)
         assert codes(result) == ["RPT001"]
+
+    @pytest.mark.parametrize(
+        "section", ["cluster_section", "overlap_section", "migration_section"]
+    )
+    def test_run_totals_section_builders_checked(self, tmp_path, section):
+        source = (
+            "REPORT_SCHEMA_KEYS = frozenset({'handoffs'})\n"
+            "class RunTotals:\n"
+            f"    def {section}(self):\n"
+            "        return {'handoffs': 0, 'surprise': 1}\n"
+        )
+        result = lint_snippet(tmp_path, source, rel_path=self.ENGINE_PATH)
+        assert codes(result) == ["RPT001"]
+        assert "surprise" in result.fresh[0].message
+        clean = source.replace(", 'surprise': 1", "")
+        assert codes(lint_snippet(tmp_path, clean, rel_path=self.ENGINE_PATH)) == []
 
     def test_missing_schema_constant_flagged(self, tmp_path):
         source = "def _build_report():\n    return {'backend': 'milo'}\n"

@@ -6,7 +6,9 @@ in batch order, and finish / KV block-boundary heaps over one shared
 iteration counter from which ``generated_tokens`` is derived.  The reference
 engine below keeps verbatim copies of the loop that counted, advanced and
 capacity-checked every running sequence on every iteration (and of the
-one-pass overlap cost and its per-device trace split).  Over seeded random
+one-pass overlap cost and its per-device trace split), priced by the
+per-mode cost functions of ``cost_reference`` rather than the engine's
+``CostModel``.  Over seeded random
 configurations — on-demand and reserve allocation, a custom victim policy
 that reads ``generated_tokens``, recompute and swap preemption, chunked
 prefill, prefix partial-tail copy-on-write, 1-4 devices, overlap with
@@ -39,10 +41,12 @@ from repro.serving import (
     poisson_workload,
 )
 from repro.serving.cluster import split_tokens
-from repro.serving.engine import overlap_step_seconds
+from repro.serving.cost import IterationCost
+from repro.serving.engine import RunTotals, overlap_step_seconds
 from repro.serving.request import RequestState, Sequence
 from repro.serving.scheduler import DecodeTracker
 
+from cost_reference import ReferenceCosts
 from test_capacity_walk import draw_case
 
 #: Cluster layouts the seeds cycle through: colocated on 1-4 devices (two
@@ -102,8 +106,14 @@ class ReferenceScheduler(ContinuousBatchingScheduler):
         ]
 
 
-class ReferenceEngine(ServingEngine):
-    """Every run takes the per-iteration loop that walks the whole batch."""
+class ReferenceEngine(ReferenceCosts, ServingEngine):
+    """Every run takes the per-iteration loop that walks the whole batch,
+    priced by the per-mode cost functions of ``cost_reference`` (the two
+    overlap ones in their one-pass form below), never by ``CostModel``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.setup_reference_costs()
 
     def make_scheduler(self):
         scheduler = super().make_scheduler()
@@ -113,6 +123,23 @@ class ReferenceEngine(ServingEngine):
 
     def _run_fast(self, pending, scheduler):
         return self._run_general(pending, scheduler)
+
+    def _run_general(self, pending, scheduler):
+        (clock, iterations, total_tokens, peak_batch, peak_used_blocks,
+         peak_shared_blocks, peak_used_per_device,
+         straggler_max_s, straggler_mean_s, alltoall_tokens,
+         hidden_comm_s, comm_total_s, migration_s, replacements,
+         (handoffs, handoff_blocks, handoff_s, rebalances, rebalanced_blocks,
+          rebalance_s, swap_in_s, recompute_equivalent_s),
+         ) = self._walk_every_sequence(pending, scheduler)
+        return RunTotals(
+            peak_used_per_device, clock, iterations, total_tokens, peak_batch,
+            peak_used_blocks, peak_shared_blocks, straggler_max_s,
+            straggler_mean_s, alltoall_tokens, hidden_comm_s, comm_total_s,
+            migration_s, replacements, handoffs, handoff_blocks, handoff_s,
+            rebalances, rebalanced_blocks, rebalance_s, swap_in_s,
+            recompute_equivalent_s,
+        )
 
     def _telemetry_per_device(
         self, tokens: int, home_key: tuple[int, ...]
@@ -245,10 +272,11 @@ class ReferenceEngine(ServingEngine):
         return entry
 
 
-    def _run_general(
+    def _walk_every_sequence(
         self, pending: list[Request], scheduler: ContinuousBatchingScheduler
-    ) -> _RunTotals:
-        """The per-iteration loop that advances every running sequence."""
+    ) -> tuple:
+        """The per-iteration loop that advances every running sequence
+        (its trace events carry the cost as the tracer's record)."""
         clock = 0.0
         next_arrival = 0
         n_pending = len(pending)
@@ -394,17 +422,21 @@ class ReferenceEngine(ServingEngine):
                     if overlap_mode:
                         tracer.iteration(
                             iterations - 1, iter_t0, clock, tokens, batch,
-                            compute=self._telemetry_per_device(tokens, home_key),
-                            max_compute=max_compute, mean_compute=mean_compute,
-                            remote_tokens=remote_tokens,
-                            hidden=hidden, comm=comm, stall=iter_stall,
+                            IterationCost(
+                                step, max_compute, mean_compute, remote_tokens,
+                                self._telemetry_per_device(tokens, home_key),
+                                hidden, comm,
+                            ),
+                            stall=iter_stall,
                         )
                     else:
                         tracer.iteration(
                             iterations - 1, iter_t0, clock, tokens, batch,
-                            compute=self._telemetry_per_device(tokens, home_key),
-                            max_compute=max_compute, mean_compute=mean_compute,
-                            remote_tokens=remote_tokens, stall=iter_stall,
+                            IterationCost(
+                                step, max_compute, mean_compute, remote_tokens,
+                                self._telemetry_per_device(tokens, home_key),
+                            ),
+                            stall=iter_stall,
                         )
                 else:
                     tracer.iteration(iterations - 1, iter_t0, clock, tokens, batch)

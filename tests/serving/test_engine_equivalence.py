@@ -20,7 +20,13 @@ import json
 import pytest
 
 from repro.runtime.backends import MiLoBackend
-from repro.serving import EngineConfig, ServingEngine, poisson_workload
+from repro.serving import (
+    EngineConfig,
+    MetricsRegistry,
+    ServingEngine,
+    Tracer,
+    poisson_workload,
+)
 
 WORKLOADS = {
     # Steady decode at moderate load: long compressible stretches.
@@ -130,13 +136,30 @@ def test_disagg_swap_modes_fast_flag_is_inert():
     assert fast == general
 
 
-def test_cost_cache_reuse_across_runs_is_byte_identical():
+@pytest.mark.parametrize(
+    "config, traced_warmup",
+    [
+        (dict(), False),
+        (dict(devices=4), False),
+        (dict(devices=4, overlap=True, replacement_threshold=0.02), False),
+        (dict(devices=4, prefill_devices=1, decode_devices=3, kv_policy="ondemand"), False),
+        (dict(devices=4, overlap=True, replacement_threshold=0.02), True),
+    ],
+    ids=["1dev", "4dev", "overlap_replace_4dev", "disagg_1to3_ondemand", "traced_warmup"],
+)
+def test_cost_cache_reuse_across_runs_is_byte_identical(config, traced_warmup):
     """One engine serving the same workload twice (warm latency/cost memo)
-    reports byte-identically to a cold engine."""
+    reports byte-identically to a cold engine — also when the warm-up run
+    was traced, since trace events read the same cost memo the report does."""
     workload = poisson_workload(num_requests=60, qps=10.0, seed=26)
-    warm_engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", EngineConfig())
-    warm_engine.run(workload)  # populate the memo
+    warm_engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", EngineConfig(**config))
+    if traced_warmup:
+        warm_engine.enable_telemetry(tracer=Tracer(), metrics=MetricsRegistry(interval=0.1))
+    warmup = warm_engine.run(workload)  # populate the memo
+    warm_engine.enable_telemetry()  # the measured run is untraced
     warm = json.dumps(warm_engine.run(workload).to_dict(), sort_keys=True)
-    cold_engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", EngineConfig())
+    cold_engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", EngineConfig(**config))
     cold = json.dumps(cold_engine.run(workload).to_dict(), sort_keys=True)
     assert warm == cold
+    if config.get("replacement_threshold"):
+        assert warmup.overlap["replacements"]  # the memo spanned several epochs

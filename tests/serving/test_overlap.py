@@ -123,8 +123,8 @@ def test_engine_overlap_step_never_exceeds_serial(tokens, split, efficiency, see
 
     overlapped = make_engine(efficiency, layer_frequencies=rows)
     serial = make_engine(0.0, layer_frequencies=rows)
-    step_e = overlapped._iteration_cost_overlap(tokens, home_key)[0]
-    step_0 = serial._iteration_cost_overlap(tokens, home_key)[0]
+    step_e = overlapped.cost_model.cost(tokens, home_key).step
+    step_0 = serial.cost_model.cost(tokens, home_key).step
     assert step_e <= step_0
 
 
