@@ -212,7 +212,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             overlap=args.overlap,
             replacement_threshold=args.replacement_threshold,
             debug_checks=not args.no_debug_checks,
-            fast_path=not args.no_fast_path,
         )
     except ValueError as exc:
         print(f"invalid serving config: {exc}", file=sys.stderr)
@@ -458,15 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip per-run engine invariant checks (KV-leak audit); the "
         "report is bit-identical either way — benchmarks turn this on",
-    )
-    s.add_argument(
-        "--no-fast-path",
-        action="store_true",
-        help="force the general per-iteration engine loop instead of the "
-        "event-driven steady-state fast path, which only colocated runs with "
-        "reserve KV and the default scheduling policy take (--disagg and "
-        "ondemand KV always run the general loop); a debugging aid, reports "
-        "are bit-identical either way",
     )
     s.add_argument("--per-request", action="store_true", help="include per-request records")
     s.add_argument(

@@ -75,8 +75,8 @@ Memory and scheduling decisions are *policies*, not hard-wired behavior:
   scheduler/KV gauges on a sim-time interval, both exportable as raw JSONL
   or Perfetto-loadable Chrome trace-event JSON
   (:func:`chrome_trace`) and summarized by ``milo analyze``.  Everything
-  runs on the simulated clock (DET001-clean), the fast path and general
-  loop emit byte-identical streams, and with telemetry disabled every hook
+  runs on the simulated clock (DET001-clean), macro-stepped iterations
+  emit the same stream as explicit ones, and with telemetry disabled every hook
   sits behind one ``is not None`` test — reports stay byte-identical
   (goldens) at <5% overhead (``telemetry_overhead_frac`` benchmark gate).
 
@@ -153,6 +153,7 @@ from .scheduler import (
     PREEMPT_MODES,
     ContinuousBatchingScheduler,
     FifoPriorityPolicy,
+    MissedAdmission,
     SchedulerConfig,
     SchedulingPolicy,
 )
@@ -174,6 +175,7 @@ __all__ = [
     "ContinuousBatchingScheduler",
     "SchedulingPolicy",
     "FifoPriorityPolicy",
+    "MissedAdmission",
     "ADMISSION_MODES",
     "PREEMPT_MODES",
     "SchedulerConfig",

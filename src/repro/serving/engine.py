@@ -15,6 +15,10 @@ queued requests, evicting finished ones), counts the token rows the batch
 contributes — a prefilling request contributes its whole prompt (or at most
 ``prefill_chunk`` of it), a decoding request contributes one token — and
 advances the clock by ``backend.iteration_latency(spec, tokens).total``.
+Only iterations at which something happens (an arrival, a prefill chunk, a
+finish, a KV block boundary, a handoff) are simulated one by one; the
+pure-decode iterations between them repeat the same batch and are
+macro-stepped with the exact same float additions, in every engine mode.
 For a pure decode batch of ``B`` sequences that quantity *is* the Table 7
 cell for batch size ``B``; prefill iterations and kernels with a batch cap
 (GPTQ's GeMV) reuse the same model through the chunked
@@ -108,7 +112,6 @@ from .scheduler import (
     ContinuousBatchingScheduler,
     FifoPriorityPolicy,
     SchedulerConfig,
-    SchedulingPolicy,
 )
 
 __all__ = [
@@ -228,12 +231,11 @@ DRIFT_WINDOW = 16
 
 @dataclass(slots=True)
 class RunTotals:  # milo: hot-path
-    """What one engine loop accumulated over a run, and the report sections
+    """What the engine loop accumulated over a run, and the report sections
     built from it.
 
-    Both loops fill the same fields; the KV-movement ones (handoffs,
-    rebalances, swap-ins) stay zero on the fast path, which never runs
-    disaggregated and, under reservation allocation, never preempts.
+    The KV-movement fields (handoffs, rebalances, swap-ins) stay zero
+    unless the run is disaggregated or swap-preempts.
     """
 
     #: Highest KV blocks in use per device (multi-device runs only).
@@ -464,20 +466,13 @@ class EngineConfig:
     replacement_threshold: float | None = None
     #: Run the KV pool's structural self-checks (``assert_no_leaks`` /
     #: ``check_invariants``) at the end of every run, and audit at every
-    #: boundary that each sequence the on-demand capacity walk skips writes
-    #: into a private block it already holds.  On by default (and in every
-    #: test); benchmarks turn it off — it never changes the report, only
-    #: whether accounting bugs raise.
+    #: explicit iteration the decode tracker's event state, that each
+    #: sequence the on-demand capacity walk skips writes into a private
+    #: block it already holds, and that a skipped admission attempt would
+    #: have done nothing.  On by default (and in every test); benchmarks
+    #: turn it off — it never changes the report, only whether accounting
+    #: bugs raise.
     debug_checks: bool = True
-    #: Use the steady-state fast path where it applies: uneventful
-    #: pure-decode iterations are compressed into a tight loop that repeats
-    #: the exact per-iteration float operations, so reports stay
-    #: bit-identical to the general per-iteration loop.  Only colocated
-    #: (not disaggregated) engines with reservation allocation and the
-    #: default scheduling policy take it; every other configuration runs the
-    #: general loop either way.  ``False`` forces that loop (used by the
-    #: equivalence tests and as an escape hatch).
-    fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
@@ -921,27 +916,7 @@ class ServingEngine:
         self.cost_model.reset()
         if self._drift is not None:
             self._drift.reset()
-        # Both loops track decode progress through the scheduler's decode
-        # tracker (finish and KV block-boundary events).  The fast path
-        # additionally macro-steps the iterations between events, which
-        # requires two properties the general loop does not: blocks move
-        # only at admission/eviction (reservation allocation — no growth,
-        # preemption or copy-on-write mid-decode — and no disaggregated
-        # handoff), and the admission outcome is a pure function of
-        # (waiting, running, pool) state (the default policy), so a failed
-        # admit need not be retried until that state changes.  Everything
-        # else takes the general per-iteration loop.
-        # Both produce bit-identical reports (goldens + equivalence tests
-        # pin this).
-        if (
-            self.config.fast_path
-            and not self._disagg
-            and not scheduler.allocation.grows
-            and type(scheduler.policy) in (SchedulingPolicy, FifoPriorityPolicy)
-        ):
-            totals = self._run_fast(pending, scheduler)
-        else:
-            totals = self._run_general(pending, scheduler)
+        totals = self._run(pending, scheduler)
         if self.tracer is not None:
             self.tracer.now = totals.clock  # strand events carry the final clock
         scheduler.drain_stranded()
@@ -968,9 +943,9 @@ class ServingEngine:
     ) -> float:
         """Feed one iteration's routing into the drift tracker; maybe re-place.
 
-        Called once per *distinct* batch composition (the fast path's
-        macro-stepped iterations repeat the same composition, so observing
-        only on change keeps the two loops equivalent).  When the sliding
+        Called once per *distinct* batch composition (macro-stepped
+        iterations repeat the composition of the explicit iteration that
+        observed it, so they never observe).  When the sliding
         window fills, compares measured per-layer frequencies against the
         profile each layer's placement was packed for and re-packs drifted
         layers, returning the migration stall (seconds) to add to the clock
@@ -991,29 +966,31 @@ class ServingEngine:
             moved, self._expert_layer_bytes, self.backend.device.interconnect_bandwidth
         )
 
-    def _replaced_trace_cost(self, cost: IterationCost, tokens: int) -> IterationCost:
-        """Trace record of an iteration that triggered re-placement.
-
-        Its ``iter`` event has always carried the per-device compute of the
-        *new* layout (read after the re-pack), next to the old layout's
-        step and max/mean terms; the trace keeps that byte for byte.
-        """
-        return replace(cost, per_device=self.cost_model.layer_split(tokens)[4])
-
-    def _run_general(
+    def _run(
         self, pending: list[Request], scheduler: ContinuousBatchingScheduler
     ) -> RunTotals:
-        """The per-iteration loop: correct for every policy combination.
+        """The engine loop: explicit iterations at events, macro-steps between.
 
-        Every iteration is simulated explicitly, but its per-sequence work
-        scales with events, not with the batch: decoding sequences are
-        counted per home device and advanced through the scheduler's
-        :class:`~repro.serving.scheduler.DecodeTracker` (finish and KV
-        block-boundary heaps over one shared iteration counter), so only
-        the prefilling sequences are walked.  The iteration cost is
-        memoized, eviction skipped on iterations nothing finished,
-        ``ensure_capacity`` skipped for non-growing allocation, and the KV
-        peaks re-read only after the pool's occupancy may have risen.
+        An explicit iteration does the boundary work in order — arrivals,
+        the on-demand capacity walk, admission and swap-in, the iteration,
+        then the decode tracker's step with the prefill→decode handoff,
+        eviction and the decode-pool rebalance — each only when its inputs
+        may have changed.  ``admit`` is retried only after an arrival,
+        eviction, preemption, handoff or rebalance since the last attempt:
+        the only events that free blocks or requeue a sequence (a failed
+        attempt's other inputs, ``may_join(running, config)`` and the prefix
+        index, which gains entries only at admission, cannot change in
+        between).  The tracker steps only while a sequence prefills or a
+        finish is due; the KV peaks are re-read only after
+        ``block_manager.rises`` moved.
+
+        After an uneventful pure-decode iteration the batch is frozen until
+        the next finish, KV block boundary (the boundary heap's top; a stale
+        top only shortens the stretch) or arrival, so the iterations up to
+        it are compressed into a loop repeating their exact float additions
+        (bit-identical clock).  With telemetry, that loop also emits their
+        ``iter`` events and due metrics samples, which read only state that
+        is constant across the stretch.
         """
         num_devices = len(self.device_group)
         totals = RunTotals([0] * num_devices)
@@ -1032,39 +1009,57 @@ class ServingEngine:
         last_ckey = None
         cost_model = self.cost_model
         block_manager = self.block_manager
+        running = scheduler.running
+        waiting = scheduler.waiting
         tracker = scheduler.decode
-        audit = self.config.debug_checks and not grows
+        finish_heap = tracker.finish_heap
+        boundary_heap = tracker.boundary_heap
+        debug = self.config.debug_checks
+        inf = float("inf")
+        #: Arrival time of ``pending[next_arrival]`` (``inf`` when drained),
+        #: kept in a local so the steady-state loops compare plain floats.
+        next_at = pending[0].arrival_time if pending else inf
         tracer = self.tracer
         metrics = self.metrics
         #: Next due metrics sample time (``inf`` disables the clock compare).
-        metrics_due = metrics.next_due if metrics is not None else float("inf")
+        metrics_due = metrics.next_due if metrics is not None else inf
         iter_t0 = 0.0
         iter_stall = 0.0
         #: ``block_manager.rises`` at the last peak sample.
         sampled_rises = -1
+        #: Whether an event since the last ``admit`` may change its outcome.
+        admit_dirty = False
+        #: Disaggregated runs: sequences whose prefill just completed.
+        started: list[Sequence] | None = [] if disagg else None
 
         while next_arrival < n_pending or scheduler.has_work:
-            while next_arrival < n_pending and pending[next_arrival].arrival_time <= clock:
+            while next_at <= clock:
                 scheduler.add_request(pending[next_arrival])
                 next_arrival += 1
+                next_at = pending[next_arrival].arrival_time if next_arrival < n_pending else inf
+                admit_dirty = True
             if tracer is not None:
-                # Preemption and KV events inside ensure_capacity/admit
-                # timestamp with the tracer clock.
-                tracer.now = clock
+                tracer.now = clock  # events inside ensure_capacity/admit carry it
             if grows:
                 # Running sequences secure the blocks their next token needs
                 # (preempting the low-precedence tail if the pool is dry)
                 # before any queued request may claim free blocks.
-                scheduler.ensure_capacity()
-            elif audit:
-                tracker.audit(scheduler.running)
-            admitted = scheduler.admit(clock)
-            if swap_mode and admitted:
-                # Re-admitted swap victims restore their parked KV over the
-                # host link before the batch may step; the stall is serial
-                # (one PCIe link) and charged to the clock.
-                for seq in admitted:
-                    if seq.swapped_tokens:
+                if running and scheduler.ensure_capacity():
+                    admit_dirty = True
+            elif debug and running:
+                tracker.audit(running)
+            if admit_dirty:
+                admit_dirty = False
+                admitted = scheduler.admit(clock) if waiting else None
+                if admitted and len(running) > totals.peak_batch:
+                    totals.peak_batch = len(running)  # the batch grows only here
+                if swap_mode and admitted:
+                    for seq in admitted:
+                        if not seq.swapped_tokens:
+                            continue
+                        # A re-admitted swap victim restores its parked KV
+                        # over the host link before the batch may step (one
+                        # serial PCIe link, charged to the clock).
                         blocks = block_manager.blocks_needed(seq.swapped_tokens)
                         stall = blocks * self._swap_s_per_block
                         resume_t0 = clock
@@ -1072,18 +1067,16 @@ class ServingEngine:
                         totals.swap_in_s += stall
                         # What discarding instead would have cost: one
                         # re-prefill pass over the swapped tokens.
-                        totals.recompute_equivalent_s += cost_model.latency(
-                            seq.swapped_tokens
-                        )
+                        totals.recompute_equivalent_s += cost_model.latency(seq.swapped_tokens)
                         if tracer is not None:
                             tracer.swap_in(seq, resume_t0, clock, blocks, stall)
                             tracer.now = clock
                         seq.swapped_tokens = 0
-            running = scheduler.running
+            elif debug:
+                scheduler.audit_skipped_admit()
             if not running:
                 if next_arrival < n_pending:
-                    # Idle: jump the clock to the next arrival.
-                    clock = max(clock, pending[next_arrival].arrival_time)
+                    clock = max(clock, next_at)  # idle: jump to the next arrival
                     continue
                 break
 
@@ -1099,9 +1092,8 @@ class ServingEngine:
             iterations += 1
             total_tokens += tokens
             if drift is not None and (tokens, home_key) != last_ckey:
-                # One observation per distinct batch composition — the fast
-                # path's macro-stepped iterations repeat the same (tokens,
-                # home) key and never observe, so the two loops agree.
+                # One observation per distinct batch composition (a stretch
+                # repeats the composition its first iteration observed).
                 last_ckey = (tokens, home_key)
                 stall = self._observe_routing(tokens, scheduler)
                 if stall:
@@ -1109,51 +1101,46 @@ class ServingEngine:
                     totals.migration_s += stall
                     totals.replacements += 1
                     if tracer is not None:
+                        # The iter event carries the new layout's per-device
+                        # compute next to the old layout's step and max/mean.
                         iter_stall = stall
-                        cost = self._replaced_trace_cost(cost, tokens)
-            batch = len(running)
+                        cost = replace(cost, per_device=cost_model.layer_split(tokens)[4])
             if tracer is not None:
                 tracer.iteration(
-                    iterations - 1, iter_t0, clock, tokens, batch,
+                    iterations - 1, iter_t0, clock, tokens, len(running),
                     cost if multi else None, iter_stall,
                 )
                 iter_stall = 0.0
                 tracer.now = clock  # finish/KV-free events below carry it
             if metrics is not None and clock >= metrics_due:
                 metrics_due = self._sample_metrics(
-                    metrics, scheduler, clock, iterations, batch
+                    metrics, scheduler, clock, iterations, len(running)
                 )
-            if batch > totals.peak_batch:
-                totals.peak_batch = batch
-            rises = block_manager.rises
+            rises = block_manager.rises  # a sum over pools when sharded
             if rises != sampled_rises:
-                # Pool occupancy can only have risen since the last sample
-                # if a block was taken or newly shared; otherwise no peak
-                # can move and the aggregate reads are skipped.
+                # Occupancy can only have risen if a block was taken or
+                # newly shared since the last sample.
                 sampled_rises = rises
                 totals.sample_kv(block_manager)
 
-            started: list[Sequence] | None = [] if disagg else None
-            finished_any = tracker.step(iterations, clock, chunk, tracer, started)
-            if started:
-                # Sequences whose prefill just completed hand their KV off
-                # the prefill pool before the next iteration (first token
-                # already emitted — handoff delays the second).
-                for seq in started:
+            if tracker.walked or (finish_heap and finish_heap[0][0] <= iterations):
+                finished_any = tracker.step(iterations, clock, chunk, tracer, started)
+                for seq in started or ():
+                    # Prefill just completed: the KV leaves the prefill pool
+                    # before the next iteration (first token already emitted
+                    # — the handoff delays the second) for the decode device
+                    # with the most free blocks that holds it.
+                    admit_dirty = True
                     req_id = seq.request.request_id
                     blocks = block_manager.blocks_held(req_id)
-                    dst = -1
-                    best_free = -1
-                    for d in self._decode_pool:
-                        free = block_manager.free_blocks_on(d)
-                        if free >= blocks and free > best_free:
-                            best_free = free
-                            dst = d
+                    free = {d: block_manager.free_blocks_on(d) for d in self._decode_pool}
+                    dst = max(
+                        (d for d in free if free[d] >= blocks), key=free.__getitem__, default=-1
+                    )
                     if dst < 0:
-                        # No decode device can hold the KV right now:
-                        # preempt off the prefill device instead
-                        # (preempt_mode decides recompute vs swap) and
-                        # retry the whole admission later.
+                        # No decode device can hold it now: preempt it off
+                        # the prefill device instead (preempt_mode decides
+                        # recompute vs swap) to retry admission later.
                         scheduler.preempt(seq)
                         continue
                     src = seq.home_device
@@ -1166,190 +1153,54 @@ class ServingEngine:
                     totals.handoff_blocks += blocks
                     totals.handoff_s += stall
                     if tracer is not None:
-                        tracer.handoff(
-                            seq, transfer_t0, clock, src, dst, blocks, stall
-                        )
+                        tracer.handoff(seq, transfer_t0, clock, src, dst, blocks, stall)
                         tracer.now = clock
-            if finished_any:
-                scheduler.evict_finished()
-                if rebalance_pool:
-                    # Elasticity hook: batch membership changed, so the
-                    # decode pool's load may have skewed — let the policy
-                    # move (at most) one decode sequence per boundary.
-                    move = scheduler.policy.select_rebalance(
-                        running, block_manager, self._decode_pool
-                    )
-                    if move is not None:
-                        mover, dst = move
-                        src = mover.home_device
-                        blocks = block_manager.migrate(
-                            mover.request.request_id, src, dst
-                        )
-                        tracker.rehome(mover, dst)
-                        stall = blocks * self._handoff_s_per_block
-                        transfer_t0 = clock
-                        clock += stall
-                        totals.rebalances += 1
-                        totals.rebalanced_blocks += blocks
-                        totals.rebalance_s += stall
-                        if tracer is not None:
-                            tracer.migrate(
-                                mover, transfer_t0, clock, src, dst, blocks, stall
-                            )
-                            tracer.now = clock
-
-        totals.clock = clock
-        totals.iterations = iterations
-        totals.total_tokens = total_tokens
-        return totals
-
-    def _run_fast(
-        self, pending: list[Request], scheduler: ContinuousBatchingScheduler
-    ) -> RunTotals:
-        """Event-driven loop for reservation allocation + the default policy.
-
-        Rests on two invariants of that combination (asserted by ``run``):
-
-        * KV blocks move only at admission and eviction — mid-decode there
-          is no growth, preemption or copy-on-write, so peak trackers only
-          need sampling when the batch membership changes;
-        * a failed admission stays failed until an arrival or an eviction
-          changes the (waiting, running, pool) state, so ``admit`` is only
-          called when ``admit_dirty`` marks such a change.
-
-        Decode progress is tracked by the scheduler's
-        :class:`~repro.serving.scheduler.DecodeTracker`, as in the general
-        loop: a sequence completing prefill at iteration ``i`` finishes at
-        iteration ``i + max_new_tokens - 1`` exactly, so between finish
-        events nothing per-sequence happens at all and uneventful stretches
-        are compressed into a tight loop repeating the exact per-iteration
-        float operations (bit-identical clock).
-        """
-        num_devices = len(self.device_group)
-        totals = RunTotals([0] * num_devices)
-        clock = 0.0
-        next_arrival = 0
-        n_pending = len(pending)
-        iterations = 0
-        total_tokens = 0
-        chunk = scheduler.config.prefill_chunk
-        multi = num_devices > 1
-        drift = self._drift
-        last_ckey = None
-        cost_model = self.cost_model
-        block_manager = self.block_manager
-        running = scheduler.running
-        tracker = scheduler.decode
-        #: Finish events of the decoding sequences.
-        finish_heap = tracker.finish_heap
-        audit = self.config.debug_checks
-        admit_dirty = False
-        waiting = scheduler.waiting
-        inf = float("inf")
-        #: Arrival time of ``pending[next_arrival]`` (``inf`` when drained),
-        #: kept in a local so the steady-state loops compare plain floats.
-        next_at = pending[0].arrival_time if pending else inf
-        tracer = self.tracer
-        metrics = self.metrics
-        metrics_due = metrics.next_due if metrics is not None else inf
-        iter_t0 = 0.0
-        iter_stall = 0.0
-
-        while next_arrival < n_pending or scheduler.has_work:
-            while next_at <= clock:
-                scheduler.add_request(pending[next_arrival])
-                next_arrival += 1
-                next_at = (
-                    pending[next_arrival].arrival_time
-                    if next_arrival < n_pending
-                    else inf
-                )
-                admit_dirty = True
-            if admit_dirty:
-                admit_dirty = False
-                if tracer is not None:
-                    tracer.now = clock  # KV alloc/share events inside admit
-                # `admit` with an empty queue is a no-op (the default policy
-                # has no side effects there); most evictions at low load
-                # find nothing waiting, so skip the call.
-                admitted = scheduler.admit(clock) if waiting else None
-                if admitted:
-                    # Blocks move only at admission/eviction under
-                    # reservation allocation, so peaks move only here.
-                    batch = len(running)
-                    if batch > totals.peak_batch:
-                        totals.peak_batch = batch
-                    totals.sample_kv(block_manager)
-            if not running:
-                if next_arrival < n_pending:
-                    # Idle: jump the clock to the next arrival.
-                    clock = max(clock, next_at)
-                    continue
-                break
-            if audit:
-                tracker.audit(running)
-
-            tokens, home_key = tracker.load(chunk)
-            cost = cost_model.cost(tokens, home_key)
-            if multi:
-                totals.charge(cost)
-            if tracer is not None:
-                iter_t0 = clock
-            clock += cost.step
-            iterations += 1
-            total_tokens += tokens
-            if drift is not None and (tokens, home_key) != last_ckey:
-                # Mirror of the general loop's per-composition observation.
-                last_ckey = (tokens, home_key)
-                stall = self._observe_routing(tokens, scheduler)
-                if stall:
-                    clock += stall
-                    totals.migration_s += stall
-                    totals.replacements += 1
-                    if tracer is not None:
-                        iter_stall = stall
-                        cost = self._replaced_trace_cost(cost, tokens)
-            if tracer is not None:
-                tracer.iteration(
-                    iterations - 1, iter_t0, clock, tokens, len(running),
-                    cost if multi else None, iter_stall,
-                )
-                iter_stall = 0.0
-                tracer.now = clock  # finish/KV-free events below carry it
-            if metrics is not None and clock >= metrics_due:
-                metrics_due = self._sample_metrics(
-                    metrics, scheduler, clock, iterations, len(running)
-                )
-
-            # Most explicit iterations here neither advance a prefill nor
-            # reach a finish event; skip the tracker call on those.
-            if tracker.walked or (finish_heap and finish_heap[0][0] <= iterations):
-                if tracker.step(iterations, clock, chunk, tracer):
+                if started:
+                    started.clear()
+                if finished_any:
                     scheduler.evict_finished()
                     admit_dirty = True  # freed blocks / batch slots
+                    if rebalance_pool:
+                        # Elasticity hook: batch membership changed, so the
+                        # decode pool's load may have skewed — let the
+                        # policy move (at most) one decode sequence.
+                        move = scheduler.policy.select_rebalance(
+                            running, block_manager, self._decode_pool
+                        )
+                        if move is not None:
+                            mover, dst = move
+                            src = mover.home_device
+                            blocks = block_manager.migrate(mover.request.request_id, src, dst)
+                            tracker.rehome(mover, dst)
+                            stall = blocks * self._handoff_s_per_block
+                            transfer_t0 = clock
+                            clock += stall
+                            totals.rebalances += 1
+                            totals.rebalanced_blocks += blocks
+                            totals.rebalance_s += stall
+                            if tracer is not None:
+                                tracer.migrate(mover, transfer_t0, clock, src, dst, blocks, stall)
+                                tracer.now = clock
+                if admit_dirty:
                     continue
             else:
                 tracker.iteration = iterations
 
-            # -- steady-state macro step ---------------------------------------
-            # Pure decode, nothing admitted or finished this iteration: the
-            # batch is frozen until the next finish event or arrival, and
-            # every iteration until then repeats the same float operations.
+            # -- macro step: pure decode until the next event ------------------
             if tracker.walked or not finish_heap:
                 continue
             span = finish_heap[0][0] - iterations - 1
+            if boundary_heap and boundary_heap[0][0] - iterations < span:
+                # The capacity walk visits boundary `b` before iteration b + 1.
+                span = boundary_heap[0][0] - iterations
             if span <= 0:
                 continue
-            # Pure decode: every sequence feeds one token row.
             tokens = tracker.count
             home_key = tuple(tracker.home) if multi else None
             if drift is not None and (tokens, home_key) != last_ckey:
-                # The stretch starts on a batch composition the drift
-                # tracker has not observed (e.g. the last explicit
-                # iteration still carried prefill tokens).  Run one
-                # explicit iteration — it performs the observation —
-                # before compressing; the general loop observes at
-                # exactly that iteration too.
+                # A composition the drift tracker has not observed (the last
+                # iteration still carried prefill tokens): one explicit
+                # iteration observes it first.
                 continue
             cost = cost_model.cost(tokens, home_key)
             step = cost.step
@@ -1359,9 +1210,7 @@ class ServingEngine:
                 # accumulated rounding error is far below one step, so
                 # ``(next_at - clock)/step - 2`` iterations provably keep
                 # ``clock < next_at`` throughout — run them without the
-                # per-iteration comparison, then finish checked.  The adds
-                # themselves stay the exact sequential ``clock += step`` the
-                # uncompressed loop performs (bit-identical clock).
+                # per-iteration comparison, then finish checked.
                 bulk = span
                 if next_at is not inf and step > 0.0:
                     safe = int((next_at - clock) / step) - 2
@@ -1375,24 +1224,21 @@ class ServingEngine:
                     clock += step
                     done += 1
             else:
-                # Telemetry variant: the identical clock adds, plus one
-                # synthesized iter event and a due check per compressed
-                # iteration, so the span stream matches the general loop's
-                # byte for byte.
+                # Telemetry variant: the identical clock adds, plus each
+                # iteration's iter event and metrics due check.
                 trace_cost = cost if multi else None
-                ibatch = len(running)
+                batch = len(running)
                 while done < span and next_at > clock:
                     iter_t0 = clock
                     clock += step
                     done += 1
                     if tracer is not None:
                         tracer.iteration(
-                            iterations + done - 1, iter_t0, clock, tokens, ibatch,
-                            trace_cost,
+                            iterations + done - 1, iter_t0, clock, tokens, batch, trace_cost
                         )
                     if metrics is not None and clock >= metrics_due:
                         metrics_due = self._sample_metrics(
-                            metrics, scheduler, clock, iterations + done, ibatch
+                            metrics, scheduler, clock, iterations + done, batch
                         )
             if multi:
                 totals.charge(cost, done)

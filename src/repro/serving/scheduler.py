@@ -61,6 +61,7 @@ __all__ = [
     "FifoPriorityPolicy",
     "WaitingQueue",
     "DecodeTracker",
+    "MissedAdmission",
     "ContinuousBatchingScheduler",
 ]
 
@@ -129,7 +130,15 @@ class SchedulingPolicy:
         return (seq.request.priority, seq.enqueue_index)
 
     def may_join(self, running: list[Sequence], config: SchedulerConfig) -> bool:
-        """Batch-formation hook: may another sequence join the batch?"""
+        """Batch-formation hook: may another sequence join the batch?
+
+        Must be a function of its arguments — the batch membership and the
+        config — and nothing else (no call counters, clocks or per-token
+        progress).  The engine retries a failed admission only after an
+        event that changes the batch or the pool, so an answer that flips
+        on its own would be missed (``debug_checks`` raises
+        :class:`MissedAdmission` when it does).
+        """
         return len(running) < config.max_batch_size
 
     def select_victim(
@@ -286,6 +295,11 @@ class WaitingQueue:
 _FINISHED = RequestState.FINISHED
 
 
+class MissedAdmission(RuntimeError):
+    """An admission attempt the engine skipped would have admitted or
+    rejected the waiting head (see :meth:`SchedulingPolicy.may_join`)."""
+
+
 class DecodeTracker:
     """Event-driven decode progress of the running batch.
 
@@ -302,10 +316,11 @@ class DecodeTracker:
       home device (each contributes one token row per iteration);
     * :attr:`walked`, every other running sequence — the prefilling ones
       in the engine — in batch order, advanced one by one;
-    * :attr:`finish_heap` and a block-boundary heap of ``(iteration,
+    * :attr:`finish_heap` and :attr:`boundary_heap` of ``(iteration,
       tiebreak, sequence)`` entries.  Entries are invalidated lazily: one
       is live only while the sequence is tracked and its
-      ``finish_iteration`` / ``boundary_iteration`` still equals it.
+      ``finish_iteration`` / ``boundary_iteration`` still equals it, so a
+      stale top only makes the next event look earlier than it is.
 
     Every membership change goes through the tracker: admission (the
     scheduler appends to :attr:`walked`, or calls :meth:`start` for a
@@ -316,7 +331,7 @@ class DecodeTracker:
 
     __slots__ = (
         "iteration", "count", "home", "walked", "finish_heap",
-        "_boundaries", "_boundary_heap", "_pushes",
+        "_boundaries", "boundary_heap", "_pushes",
     )
 
     def __init__(self, num_devices: int = 1, boundaries: bool = True) -> None:
@@ -329,7 +344,7 @@ class DecodeTracker:
         #: Whether block boundaries are armed at all (growing allocation
         #: only: a reserved extent never needs a boundary visit).
         self._boundaries = boundaries
-        self._boundary_heap: list[tuple[int, int, Sequence]] = []
+        self.boundary_heap: list[tuple[int, int, Sequence]] = []
         self._pushes = 0
 
     def start(self, seq: Sequence) -> None:
@@ -358,7 +373,7 @@ class DecodeTracker:
         due = seq.kv_writable_extent - seq.request.prompt_tokens - seq._generated
         if due != seq.boundary_iteration:
             seq.boundary_iteration = due
-            heapq.heappush(self._boundary_heap, (due, self._pushes, seq))
+            heapq.heappush(self.boundary_heap, (due, self._pushes, seq))
             self._pushes += 1
 
     def _stop(self, seq: Sequence) -> None:
@@ -404,7 +419,7 @@ class DecodeTracker:
         Each comes back disarmed; the capacity walk re-arms it after its
         visit (:meth:`arm`).
         """
-        heap = self._boundary_heap
+        heap = self.boundary_heap
         iteration = self.iteration
         due = []
         while heap and heap[0][0] <= iteration:
@@ -471,7 +486,7 @@ class DecodeTracker:
         home = [0] * len(self.home)
         walked = []
         finish = {(at, id(seq)) for at, _, seq in self.finish_heap}
-        boundary = {(at, id(seq)) for at, _, seq in self._boundary_heap}
+        boundary = {(at, id(seq)) for at, _, seq in self.boundary_heap}
         previous = -1
         for seq in running:
             if seq.admit_index <= previous:
@@ -615,13 +630,7 @@ class ContinuousBatchingScheduler:
         while self.waiting and self.policy.may_join(self.running, self.config):
             head = self.waiting[0]
             if self.decode_pool is not None:
-                # Steer the allocation: a swapped-out decode-phase sequence
-                # resumes in the decode pool (its restored KV lives where
-                # decode runs), while fresh arrivals and recompute resumes —
-                # which (re-)prefill — are admitted to the prefill pool.
-                self.block_manager.admit_devices = (
-                    self.decode_pool if head.prefill_done else self.prefill_pool
-                )
+                self._steer(head)
             if self.allocation.can_admit(head):
                 self.waiting.pop(0)
                 self.allocation.admit(head)
@@ -644,7 +653,7 @@ class ContinuousBatchingScheduler:
                     # After allocation.admit, so the KV alloc/share event
                     # precedes the admit event it belongs to.
                     tracer.admit(head, now)
-            elif self.config.admission == "reject" and head.preemptions == 0:
+            elif self._sheds(head):
                 self.waiting.pop(0)
                 head.reject()
                 self.rejected.append(head)
@@ -661,6 +670,43 @@ class ContinuousBatchingScheduler:
             # intake's ``fits_at_all`` and the engine's capacity checks see.
             self.block_manager.admit_devices = self.prefill_pool
         return admitted
+
+    def _steer(self, head: Sequence) -> None:
+        """Restrict admission to the pool ``head`` must land on (disaggregated).
+
+        A swapped-out decode-phase sequence resumes in the decode pool (its
+        restored KV lives where decode runs), while fresh arrivals and
+        recompute resumes — which (re-)prefill — go to the prefill pool.
+        """
+        self.block_manager.admit_devices = (
+            self.decode_pool if head.prefill_done else self.prefill_pool
+        )
+
+    def _sheds(self, head: Sequence) -> bool:
+        """Whether ``reject`` mode load-sheds a head that does not fit now."""
+        return self.config.admission == "reject" and head.preemptions == 0
+
+    def audit_skipped_admit(self) -> None:
+        """Raise :class:`MissedAdmission` if :meth:`admit` would act now.
+
+        A side-effect-free dry run of :meth:`admit`'s first decision, for
+        an iteration boundary at which the engine skips the call because
+        nothing that could change its outcome happened since the last one.
+        """
+        if not self.waiting or not self.policy.may_join(self.running, self.config):
+            return
+        head = self.waiting[0]
+        if self.decode_pool is not None:
+            self._steer(head)
+        fits = self.allocation.can_admit(head)
+        if self.decode_pool is not None:
+            self.block_manager.admit_devices = self.prefill_pool
+        if fits or self._sheds(head):
+            raise MissedAdmission(
+                f"admission skipped at an iteration boundary would have "
+                f"{'admitted' if fits else 'rejected'} request "
+                f"{head.request.request_id}"
+            )
 
     def ensure_capacity(self) -> list[Sequence]:
         """Secure KV blocks for every token the next iteration will append.

@@ -21,8 +21,8 @@ when due, snapshots the scheduler and KV state:
 Sampling is aligned to the interval grid: after a sample at time ``t`` the
 next one is due at ``interval * (floor(t / interval) + 1)``, so a quiet
 stretch yields one sample per grid crossing rather than a backlog.  All
-timestamps are simulated seconds — the registry is DET001-clean and the
-fast path and general loop produce byte-identical JSONL streams.
+timestamps are simulated seconds — the registry is DET001-clean, and a
+macro-stepped stretch samples exactly where explicit iterations would.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ One :class:`Tracer` collects a flat, strictly ordered stream of *events*
 while the engine runs.  Every timestamp is a simulated second read off the
 discrete-event clock — nothing here reads wall time (DET001), so the event
 stream of a (backend, workload, config) triple is as reproducible as the
-serving report itself: the fast path and the general loop emit **byte
-identical** streams (``tests/serving/test_telemetry.py`` pins this).
+serving report itself: macro-stepped iterations emit exactly the events
+explicit ones would, so the stream is **byte identical** to the reference
+loop that simulates every iteration (``tests/serving/test_telemetry.py``
+pins this).
 
 Event catalogue (``kind`` field; every event also carries ``t`` or
 ``t0``/``t1`` sim-second timestamps):
@@ -265,8 +267,8 @@ class Tracer:
         cost: IterationCost | None = None,
         stall: float = 0.0,
     ) -> None:
-        """One engine iteration (explicit or synthesized by the fast path's
-        macro-stepped decode — the two streams are byte-identical).
+        """One engine iteration (explicit or inside a macro-stepped decode
+        stretch — the events are byte-identical either way).
 
         ``cost`` is the iteration's price on a multi-device engine (``None``
         on one device): the same record the report totals accumulate."""

@@ -1,18 +1,23 @@
-"""Report equivalence across the PR 6 engine execution modes.
+"""Report equivalence of the engine loop against the reference loop.
 
-The vectorized engine core has three independent switches that must never
-change the simulated result, only how fast it is computed:
+The engine simulates only the iterations at which something happens and
+macro-steps the pure-decode stretches between them; the reference engine
+(``engine_reference``) walks every running sequence on every iteration,
+calls ``admit`` and ``ensure_capacity`` at every boundary and never
+macro-steps.  Three things must never change the simulated result, only
+how fast it is computed:
 
-* ``fast_path`` — the event-driven steady-state loop vs the general
-  per-iteration loop;
-* ``debug_checks`` — per-run invariant auditing (KV-leak assertion) on/off;
+* the event-driven loop itself (engine vs reference, across the workload ×
+  config grid below and under custom scheduling policies);
+* ``debug_checks`` — per-run invariant auditing (KV-leak assertion,
+  decode-event and skipped-admission audits) on/off;
 * the memoized per-device iteration-cost cache (exercised implicitly by
   running the same engine twice).
 
 Every comparison here is *byte-level* on the serialized JSON report: same
 floats, same ordering, same preemption counts.  The committed goldens pin
-the absolute behavior; these tests pin the cross-mode equivalence on richer
-workload mixes than the goldens cover.
+the absolute behavior; these tests pin the equivalence on richer workload
+mixes than the goldens cover.
 """
 
 import json
@@ -23,17 +28,24 @@ from repro.runtime.backends import MiLoBackend
 from repro.serving import (
     EngineConfig,
     MetricsRegistry,
+    MissedAdmission,
+    Request,
+    SchedulingPolicy,
     ServingEngine,
     Tracer,
     poisson_workload,
 )
+
+from engine_reference import ReferenceEngine
+from test_accounting import AdmitNothingPolicy
+from test_decode_events import FewestTokensVictim
 
 WORKLOADS = {
     # Steady decode at moderate load: long compressible stretches.
     "decode_heavy": dict(num_requests=80, qps=4.0, seed=21, mean_new_tokens=96),
     # Bursty arrivals: admission churn, queueing, small spans.
     "bursty": dict(num_requests=120, qps=60.0, seed=22, mean_new_tokens=32),
-    # Shared prefixes under reservation: prefix cache on the fast path.
+    # Shared prefixes under reservation: prefix cache between macro-steps.
     "prefix_shared": dict(
         num_requests=60, qps=30.0, seed=23, mean_new_tokens=48,
         shared_prefix_tokens=32, prefix_groups=3,
@@ -54,24 +66,29 @@ CONFIGS = {
     "overlap_4dev": dict(devices=4, overlap=True),
     "overlap_replace": dict(devices=2, overlap=True, replacement_threshold=0.05),
     # Swap preemption under reservation: reserve never preempts, so the
-    # swap machinery must be fully dormant on both loops.
+    # swap machinery must stay fully dormant.
     "swap_reserve_2dev": dict(devices=2, preempt_mode="swap"),
 }
 
 
-def run_report(workload_kwargs, config_kwargs, **overrides) -> str:
+def run_report(workload_kwargs, config_kwargs, engine_cls=ServingEngine, **overrides) -> str:
     config = EngineConfig(**{**config_kwargs, **overrides})
-    engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", config)
+    engine = engine_cls(MiLoBackend(), "mixtral-8x7b", config)
     report = engine.run(poisson_workload(**workload_kwargs))
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
+def assert_matches_reference(workload_kwargs, config_kwargs, **overrides) -> str:
+    report = run_report(workload_kwargs, config_kwargs, **overrides)
+    reference = run_report(workload_kwargs, config_kwargs, ReferenceEngine, **overrides)
+    assert report == reference
+    return report
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("config", sorted(CONFIGS))
-def test_fast_path_report_is_byte_identical(workload, config):
-    fast = run_report(WORKLOADS[workload], CONFIGS[config], fast_path=True)
-    general = run_report(WORKLOADS[workload], CONFIGS[config], fast_path=False)
-    assert fast == general
+def test_report_matches_reference(workload, config):
+    assert_matches_reference(WORKLOADS[workload], CONFIGS[config])
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -82,58 +99,111 @@ def test_debug_checks_off_is_byte_identical(workload):
     assert checked == unchecked
 
 
-def test_ondemand_falls_back_to_general_loop():
-    """Growth/preemption workloads take the general loop under either flag:
-    the fast path's no-mid-decode-allocation invariant excludes them, so the
-    flag is a no-op there (still byte-identical)."""
+def test_ondemand_matches_reference():
+    """Growth workloads: capacity walks and block boundaries end stretches."""
     config = dict(kv_policy="ondemand", block_size=8, max_batch_size=1000)
     workload = dict(num_requests=40, qps=50.0, seed=25, mean_new_tokens=64)
-    fast = run_report(workload, config, fast_path=True)
-    general = run_report(workload, config, fast_path=False)
-    assert fast == general
+    assert_matches_reference(workload, config)
 
 
-def test_disagg_falls_back_to_general_loop():
-    """Disaggregated runs are excluded from the fast path outright (handoff
-    stalls land between iterations); the flag must be a byte-level no-op."""
+def test_disagg_matches_reference():
+    """Disaggregated runs: handoff stalls land between iterations, and every
+    handoff re-opens admission on the prefill pool."""
     config = dict(
         devices=3, prefill_devices=1, decode_devices=2,
         kv_policy="ondemand", block_size=8, max_batch_size=1000,
     )
     workload = dict(num_requests=40, qps=50.0, seed=25, mean_new_tokens=64)
-    fast = run_report(workload, config, fast_path=True)
-    general = run_report(workload, config, fast_path=False)
-    assert fast == general
+    assert_matches_reference(workload, config)
 
 
-def test_swap_reserve_keeps_fast_path_dormant_equivalence():
-    """``preempt_mode='swap'`` with reservation allocation stays eligible for
-    the fast path (no preemption can ever fire), and the general loop's swap
-    branches never trigger — the two loops agree byte for byte and match the
+def test_swap_reserve_matches_reference():
+    """``preempt_mode='swap'`` with reservation allocation never preempts, so
+    the swap machinery stays dormant: the run matches the reference and the
     recompute-mode report except for the migration section."""
     workload = dict(num_requests=60, qps=30.0, seed=27, mean_new_tokens=48)
-    swap_fast = run_report(workload, {"devices": 2}, preempt_mode="swap", fast_path=True)
-    swap_general = run_report(workload, {"devices": 2}, preempt_mode="swap", fast_path=False)
-    assert swap_fast == swap_general
+    swap = assert_matches_reference(workload, {"devices": 2}, preempt_mode="swap")
     recompute = json.loads(run_report(workload, {"devices": 2}))
-    swapped = json.loads(swap_fast)
+    swapped = json.loads(swap)
     migration = swapped.pop("migration")
     assert migration["swaps"] == 0 and migration["swap_in_s"] == 0.0
     assert swapped == recompute
 
 
-def test_disagg_swap_modes_fast_flag_is_inert():
-    """Swap-mode disaggregation (the everything-on configuration) also
-    ignores ``fast_path`` byte-for-byte."""
+def test_disagg_swap_matches_reference():
+    """Swap-mode disaggregation (the everything-on configuration)."""
     config = dict(
         devices=3, prefill_devices=1, decode_devices=2,
         kv_policy="ondemand", block_size=8, max_batch_size=1000,
         preempt_mode="swap",
     )
     workload = dict(num_requests=40, qps=60.0, seed=28, mean_new_tokens=64)
-    fast = run_report(workload, config, fast_path=True)
-    general = run_report(workload, config, fast_path=False)
-    assert fast == general
+    assert_matches_reference(workload, config)
+
+
+# ---------------------------------------------------------------------------
+# custom scheduling policies and the skipped-admission audit
+# ---------------------------------------------------------------------------
+
+
+def run_with_policy(engine_cls, policy, config, requests):
+    """Report and trace stream of a run whose scheduler uses ``policy``."""
+    engine = engine_cls(MiLoBackend(), "mixtral-8x7b", config)
+    make_scheduler = engine.make_scheduler
+
+    def with_policy():
+        scheduler = make_scheduler()
+        scheduler.policy = policy
+        return scheduler
+
+    engine.make_scheduler = with_policy
+    tracer = Tracer()
+    engine.enable_telemetry(tracer=tracer, metrics=MetricsRegistry(interval=0.1))
+    report = engine.run(requests)
+    return json.dumps(report.to_dict(), sort_keys=True), tracer.to_jsonl()
+
+
+#: On-demand growth under KV pressure: preemptions pick victims.
+PRESSURE_CONFIG = dict(kv_policy="ondemand", reserve_gb=20.0, max_batch_size=256)
+PRESSURE_WORKLOAD = dict(
+    num_requests=80, qps=40.0, seed=25, mean_prompt_tokens=512, mean_new_tokens=256,
+)
+
+
+@pytest.mark.parametrize("policy_cls", [AdmitNothingPolicy, FewestTokensVictim])
+def test_custom_policy_matches_reference(policy_cls):
+    config = EngineConfig(**PRESSURE_CONFIG)
+    requests = poisson_workload(**PRESSURE_WORKLOAD)
+    policy = policy_cls()
+    engine = run_with_policy(ServingEngine, policy, config, requests)
+    reference = run_with_policy(ReferenceEngine, policy_cls(), config, requests)
+    assert engine == reference
+    report = json.loads(engine[0])
+    if policy_cls is AdmitNothingPolicy:
+        assert report["stranded"] == len(requests)
+    else:
+        assert report["preemptions"] and policy.choices
+
+
+class ParityJoin(SchedulingPolicy):
+    """Breaks the ``may_join`` contract: it answers by call-count parity."""
+
+    name = "parity-join"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def may_join(self, running, config):
+        self.calls += 1
+        return self.calls % 2 == 0 and super().may_join(running, config)
+
+
+def test_skipped_admission_audit_catches_impure_may_join():
+    """The engine retries a failed admission only after an event; a policy
+    whose answer changes without one is caught by ``debug_checks``."""
+    requests = [Request(0, 0.0, 8, 4), Request(1, 0.0, 8, 4), Request(2, 100.0, 8, 4)]
+    with pytest.raises(MissedAdmission, match="admitted request 1"):
+        run_with_policy(ServingEngine, ParityJoin(), EngineConfig(), requests)
 
 
 @pytest.mark.parametrize(

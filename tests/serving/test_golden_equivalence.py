@@ -84,16 +84,16 @@ def _cluster_workloads():
     straggler/all-to-all sums, same completion order.
     """
     return {
-        # Reserve allocation + balanced placement: runs the steady-state
-        # fast path end to end.
+        # Reserve allocation + balanced placement: long macro-stepped
+        # pure-decode stretches.
         "pr6_devices4_reserve": (
             dict(devices=4, kv_policy="reserve"),
             None,
             poisson_workload(40, qps=20.0, seed=11, mean_new_tokens=64),
         ),
         # On-demand allocation + frequency placement under memory pressure
-        # (40-block per-device pools force preempt/recompute): stays on the
-        # general per-iteration path.
+        # (40-block per-device pools force preempt/recompute): capacity
+        # walks and block boundaries end most stretches.
         "pr6_devices4_frequency_ondemand": (
             dict(devices=4, kv_policy="ondemand", placement="frequency",
                  block_size=8, max_batch_size=1000),
@@ -114,7 +114,7 @@ def _pr10_head_workloads():
     preemption counts.
     """
     return {
-        # Reserve + chunked prefill on 4 devices: fast path plus the
+        # Reserve + chunked prefill on 4 devices: macro-steps plus the
         # prefill-completion walk the handoff hook lands in.
         "pr10_head_reserve_4dev_chunked": (
             dict(devices=4, kv_policy="reserve", prefill_chunk=32),
@@ -165,8 +165,8 @@ def _pr10_disagg_workloads():
             40,
             poisson_workload(35, qps=60.0, seed=44, mean_new_tokens=96),
         ),
-        # 2 prefill + 2 decode under reserve: handoff on the general loop
-        # (disagg always leaves the fast path) without preemption noise.
+        # 2 prefill + 2 decode under reserve: handoffs between macro-stepped
+        # decode stretches, without preemption noise.
         "pr10_disagg_2p2d_reserve": (
             dict(devices=4, prefill_devices=2, decode_devices=2,
                  kv_policy="reserve", prefill_chunk=32),
@@ -175,8 +175,7 @@ def _pr10_disagg_workloads():
                              mean_new_tokens=64),
         ),
         # Colocated swap mode (no disagg): the migration section reports
-        # swaps only; reserve never preempts so this doubles as the
-        # swap+reserve fast-path equivalence anchor.
+        # swaps only.
         "pr10_colocated_swap_ondemand": (
             dict(devices=2, kv_policy="ondemand", block_size=8,
                  max_batch_size=1000, preempt_mode="swap"),

@@ -15,9 +15,9 @@ Three claims of the ``--overlap`` engine mode are pinned here:
 * **dynamic re-placement** — with a ``replacement_threshold`` the drift
   window re-packs layers whose measured routing drifted from the profile,
   charges a migration stall to the clock, bumps the placement epoch stamped
-  onto later admissions, and stays byte-identical between the fast and
-  general loops (covered in ``test_engine_equivalence.py``) and across
-  repeated ``run()`` calls on one engine.
+  onto later admissions, and stays byte-identical to the reference loop
+  (covered in ``test_engine_equivalence.py``) and across repeated
+  ``run()`` calls on one engine.
 """
 
 import dataclasses

@@ -3,11 +3,12 @@
 Four properties are pinned here, mirroring the guarantees the package
 docstring makes:
 
-1. **Fast/general stream equivalence** — the fast path's macro-stepped
-   decode synthesizes byte-for-byte the same trace and metrics streams the
-   general per-iteration loop emits, across every engine mode (chunked
-   prefill, prefix sharing, cluster, overlap, dynamic re-placement, reject
-   admission).
+1. **Reference stream equivalence** — the engine loop, whose macro-stepped
+   decode emits the events of the iterations it compresses, produces
+   byte-for-byte the same trace and metrics streams as the reference loop
+   that simulates every iteration (``engine_reference``), across every
+   engine mode (chunked prefill, prefix sharing, cluster, overlap, dynamic
+   re-placement, reject admission, on-demand growth).
 2. **Disabled-path byte identity** — attaching no tracer/registry leaves
    the report byte-identical to a run with telemetry attached: hooks
    observe, never perturb.
@@ -38,6 +39,8 @@ from repro.serving.telemetry import (
     validate_chrome_trace,
 )
 
+from engine_reference import ReferenceEngine
+
 WORKLOADS = {
     "mixed": dict(num_requests=60, qps=30.0, seed=31, mean_new_tokens=48),
     "prefix_shared": dict(
@@ -66,9 +69,11 @@ ONDEMAND_WORKLOAD = dict(
 )
 
 
-def run_traced(config_kwargs, workload_kwargs, *, interval=0.25, **overrides):
+def run_traced(
+    config_kwargs, workload_kwargs, *, interval=0.25, engine_cls=ServingEngine, **overrides
+):
     config = EngineConfig(**{**config_kwargs, **overrides})
-    engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", config)
+    engine = engine_cls(MiLoBackend(), "mixtral-8x7b", config)
     tracer = Tracer()
     metrics = MetricsRegistry(interval=interval)
     engine.enable_telemetry(tracer=tracer, metrics=metrics)
@@ -77,29 +82,29 @@ def run_traced(config_kwargs, workload_kwargs, *, interval=0.25, **overrides):
 
 
 # ---------------------------------------------------------------------------
-# 1. fast path vs general loop: byte-identical streams
+# 1. engine loop vs the reference loop: byte-identical streams
 # ---------------------------------------------------------------------------
+
+
+def assert_streams_match_reference(config_kwargs, workload_kwargs):
+    engine = run_traced(config_kwargs, workload_kwargs)
+    reference = run_traced(config_kwargs, workload_kwargs, engine_cls=ReferenceEngine)
+    assert engine[1].to_jsonl() == reference[1].to_jsonl()
+    assert engine[2].to_jsonl() == reference[2].to_jsonl()
+    assert json.dumps(engine[0].to_dict(), sort_keys=True) == json.dumps(
+        reference[0].to_dict(), sort_keys=True
+    )
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("config", sorted(CONFIGS))
-def test_fast_and_general_streams_byte_identical(workload, config):
-    fast = run_traced(CONFIGS[config], WORKLOADS[workload], fast_path=True)
-    general = run_traced(CONFIGS[config], WORKLOADS[workload], fast_path=False)
-    assert fast[1].to_jsonl() == general[1].to_jsonl()
-    assert fast[2].to_jsonl() == general[2].to_jsonl()
-    assert json.dumps(fast[0].to_dict(), sort_keys=True) == json.dumps(
-        general[0].to_dict(), sort_keys=True
-    )
+def test_streams_match_reference(workload, config):
+    assert_streams_match_reference(CONFIGS[config], WORKLOADS[workload])
 
 
-def test_ondemand_streams_byte_identical():
-    """Growth workloads always take the general loop, so this pins that the
-    flag is stream-inert there too."""
-    fast = run_traced(ONDEMAND_CONFIG, ONDEMAND_WORKLOAD, fast_path=True)
-    general = run_traced(ONDEMAND_CONFIG, ONDEMAND_WORKLOAD, fast_path=False)
-    assert fast[1].to_jsonl() == general[1].to_jsonl()
-    assert fast[2].to_jsonl() == general[2].to_jsonl()
+def test_ondemand_streams_match_reference():
+    """Growth workloads: grow/cow/preempt events between macro-steps."""
+    assert_streams_match_reference(ONDEMAND_CONFIG, ONDEMAND_WORKLOAD)
 
 
 # ---------------------------------------------------------------------------
