@@ -644,6 +644,34 @@ class ShardedBlockManager:
     def grow(self, seq_id: int, num_blocks: int) -> int:
         return self._home_pool(seq_id).grow(seq_id, num_blocks)
 
+    def grow_many(self, grants: list[tuple[int, int]]) -> None:
+        """Grow several tables with one free-list take per home device.
+
+        The sharded form of :meth:`BlockManager.grow_many`: every pair is
+        checked on its home pool before any pool gives up a block, and the
+        blocks and ``grow`` trace events go out in the global order of
+        ``grants`` — what :meth:`grow` called on each pair in turn does.
+        """
+        home = self._home
+        pools = self.pools
+        totals = [0] * len(pools)
+        for seq_id, num_blocks in grants:
+            device = home.get(seq_id)
+            if device is None:
+                raise KVCacheExhausted(f"sequence {seq_id} holds no blocks on any device")
+            if num_blocks <= 0:
+                raise ValueError("num_blocks must be positive")
+            totals[device] += num_blocks
+        for pool, total in zip(pools, totals):
+            pool._check_growth(total)
+        taken = [pool._take_free_blocks(total) for pool, total in zip(pools, totals)]
+        ends = [0] * len(pools)
+        for seq_id, num_blocks in grants:
+            device = home[seq_id]
+            start = ends[device]
+            end = ends[device] = start + num_blocks
+            pools[device]._append(seq_id, taken[device][start:end], totals[device] - end)
+
     def cow_cost(self, seq_id: int, token_index: int) -> int:
         return self._home_pool(seq_id).cow_cost(seq_id, token_index)
 

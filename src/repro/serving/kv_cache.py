@@ -131,9 +131,11 @@ class BlockManager:
         #: the per-iteration :attr:`shared_blocks` probe is O(1).
         self._shared_count = 0
         #: Bumped whenever :attr:`used_blocks` or :attr:`shared_blocks` may
-        #: have risen (a block taken off the free list, or a refcount going
-        #: from 1 to 2), so peak trackers can skip re-reading them while it
-        #: stands still.  Monotone; never reset.
+        #: have risen (a take off the free list, or a refcount going from 1
+        #: to 2), so peak trackers can skip re-reading them while it stands
+        #: still.  A take counts once however many blocks it hands out — a
+        #: :meth:`grow_many` bulk take is one rise — so only *changes* of
+        #: the value mean anything, never its size.  Monotone; never reset.
         self.rises = 0
         #: Optional telemetry sink (attached by
         #: :meth:`~repro.serving.engine.ServingEngine.enable_telemetry`) and
@@ -506,6 +508,56 @@ class BlockManager:
             )
         return len(table)
 
+    def grow_many(self, grants: list[tuple[int, int]]) -> None:
+        """Append private blocks to several tables with one free-list take.
+
+        ``grants`` lists ``(seq_id, num_blocks)`` pairs.  The outcome —
+        tables, free list, refcounts, :attr:`physical_allocs` and one
+        ``grow`` trace event per pair with its free count — is that of
+        :meth:`grow` called on each pair in order: the free list is a stack,
+        so one take of the summed count hands out the same ids in the same
+        order.  Every check :meth:`grow` makes runs on every pair before any
+        block is taken, so a bad pair or an over-draw leaves the pool as it
+        was.  One take is one :attr:`rises` bump.
+        """
+        tables = self._tables
+        total = 0
+        for seq_id, num_blocks in grants:
+            if seq_id not in tables:
+                raise KVCacheExhausted(f"sequence {seq_id} holds no blocks to grow")
+            if num_blocks <= 0:
+                raise ValueError("num_blocks must be positive")
+            total += num_blocks
+        self._check_growth(total)
+        taken = self._take_free_blocks(total)
+        end = 0
+        for seq_id, num_blocks in grants:
+            start = end
+            end += num_blocks
+            self._append(seq_id, taken[start:end], total - end)
+
+    def _check_growth(self, total: int) -> None:
+        """Raise unless ``total`` blocks can be taken for growth."""
+        if total > len(self._free):
+            raise KVCacheExhausted(
+                f"need {total} more blocks but only "
+                f"{len(self._free)}/{self._num_blocks} are free"
+            )
+
+    def _append(self, seq_id: int, block_ids: list[int], untaken: int) -> None:
+        """Extend a checked table by blocks already taken off the free list.
+
+        ``untaken`` counts the blocks of the same bulk take that belong to
+        later grants: the equivalent :meth:`grow` call would have left them
+        free, and its trace event carries that free count.
+        """
+        self._tables[seq_id].extend(block_ids)
+        if self.tracer is not None:
+            self.tracer.kv(
+                "grow", seq_id, len(block_ids), self.device_index,
+                len(self._free) + untaken,
+            )
+
     def free(self, seq_id: int) -> int:
         """Release a sequence's table; returns blocks returned to the pool.
 
@@ -590,9 +642,13 @@ class AllocationPolicy(abc.ABC):
 
     The scheduler consults the policy at three points: request intake
     (:meth:`fits_at_all`), admission (:meth:`can_admit` / :meth:`admit`) and
-    iteration boundaries (:meth:`blocks_deficit` / :meth:`grow`, which only
-    a growing policy exercises).  :meth:`release` returns a sequence's
-    blocks on finish *or* preemption.
+    iteration boundaries, which only a growing policy exercises.  At a
+    boundary the scheduler first offers the policy every due sequence at
+    once (:meth:`grow_due`): the policy plans each one's deficit and, when
+    the plan needs no preemption, grants it in bulk.  Otherwise the
+    scheduler walks the sequences one by one (:meth:`blocks_deficit`,
+    preemption, :meth:`grow`).  :meth:`release` returns a sequence's blocks
+    on finish *or* preemption.
 
     A growing policy may record :attr:`Sequence.kv_writable_extent` once a
     sequence's write block is secured; the scheduler then skips the
@@ -678,6 +734,17 @@ class AllocationPolicy(abc.ABC):
         seq.apply_prefix_hit(hit_tokens)
         return fresh
 
+    def grow_due(self, due: list[Sequence], prefill_chunk: int | None = None) -> bool:
+        """Secure the next write of every sequence in ``due`` without preemption.
+
+        ``due`` is in precedence order.  Returns whether the writes were
+        secured; ``False`` leaves every sequence and the pool untouched, and
+        the scheduler then walks ``due`` one by one.  This base policy never
+        plans, so a subclass that overrides only :meth:`blocks_deficit` and
+        :meth:`grow` keeps the walk.
+        """
+        return False
+
     def blocks_deficit(self, seq: Sequence, prefill_chunk: int | None = None) -> int:
         """Extra blocks the sequence needs before its next iteration (0 here)."""
         return 0
@@ -743,6 +810,57 @@ class OnDemandPolicy(AllocationPolicy):
             seq.prefill_extent == request.prefix_tokens
             and request.prefix_tokens % self.pool.block_size != 0
         )
+
+    def grow_due(self, due: list[Sequence], prefill_chunk: int | None = None) -> bool:
+        """Plan every due sequence's deficit, then grant the growth in bulk.
+
+        The plan gives each sequence what :meth:`blocks_deficit` would: no
+        blocks mid-prefill chunk, ``blocks_needed(prompt + generated + 1) -
+        held`` private blocks when the write starts a fresh block, else a
+        zero deficit.  It gives up (``False``, nothing changed) when a write
+        needs a copy-on-write block, or when some device's summed growth
+        exceeds its free blocks — exactly the iterations at which the
+        per-sequence walk would copy or preempt.  Otherwise the growth is
+        granted with one :meth:`BlockManager.grow_many` call (one free-list
+        take per device, block ids in ``due`` order, as successive
+        :meth:`grow` calls would assign them), each zero-deficit visit gets
+        :meth:`blocks_deficit`'s prefix un-registration, and every visited
+        sequence records its writable extent.
+        """
+        pool = self.pool
+        block_size = pool.block_size
+        grants: list[tuple[int, int]] = []
+        grown: list[tuple[Sequence, int]] = []
+        in_place: list[tuple[Sequence, int, int]] = []
+        need: dict[int, int] = {}
+        for seq in due:
+            if not seq.emits_token_this_iteration(prefill_chunk):
+                continue
+            seq_id = seq.request.request_id
+            write_pos = seq.request.prompt_tokens + seq.generated_tokens
+            held = pool.blocks_held(seq_id)
+            # blocks_needed(write_pos + 1) - held
+            growth = write_pos // block_size + 1 - held
+            if growth > 0:
+                grants.append((seq_id, growth))
+                grown.append((seq, (held + growth) * block_size))
+                home = seq.home_device
+                need[home] = need.get(home, 0) + growth
+            elif pool.cow_cost(seq_id, write_pos):
+                return False
+            else:
+                in_place.append((seq, write_pos, held * block_size))
+        for device, blocks in need.items():
+            if blocks > pool.free_blocks_on(device):
+                return False
+        if grants:
+            pool.grow_many(grants)
+            for seq, extent in grown:
+                seq.kv_writable_extent = extent
+        for seq, write_pos, extent in in_place:
+            pool.ensure_writable(seq.request.request_id, write_pos)
+            seq.kv_writable_extent = extent
+        return True
 
     def blocks_deficit(self, seq: Sequence, prefill_chunk: int | None = None) -> int:
         """Blocks the next emitting iteration needs (growth or one CoW copy).

@@ -714,18 +714,28 @@ class ContinuousBatchingScheduler:
         Under reservation allocation this is a no-op.  Under on-demand
         allocation, the running sequences whose next write
         (``prompt_tokens + generated_tokens + 1``) lies past their recorded
-        :attr:`~repro.serving.request.Sequence.kv_writable_extent` are
-        visited in precedence order; every other sequence writes into a
-        private block it already holds, needs nothing, and is skipped (with
-        ``block_size`` 16 a decoding sequence is due about once in 16
-        iterations).  When the pool cannot cover a deficit, the scheduling
-        policy picks victims from the lower-precedence tail of the *whole*
-        batch, whose blocks are freed and who requeue for
-        recompute-on-resume.  A victim that shares
-        prefix blocks returns only its private ones (the policy therefore
-        prefers low-sharing victims), so several preemptions may be needed
-        to cover one deficit.  A sequence preempts *itself* only when no
-        lower-precedence victim remains (it is the tail).
+        :attr:`~repro.serving.request.Sequence.kv_writable_extent` are due;
+        every other sequence writes into a private block it already holds,
+        needs nothing, and is skipped (with ``block_size`` 16 a decoding
+        sequence is due about once in 16 iterations).  The due sequences
+        are served in precedence order, in two steps:
+
+        1. *Plan, then bulk grant.*  The allocation policy plans every due
+           sequence's deficit and, when no write needs a copy-on-write
+           block and every device's summed growth fits its free blocks,
+           grants all of it with one free-list take per device
+           (:meth:`~repro.serving.kv_cache.AllocationPolicy.grow_due`).
+           Block ids, tables and trace events are those of step 2, which
+           would preempt nothing on such an iteration.
+        2. *Fallback walk.*  Otherwise the sequences are visited one by one
+           (:meth:`_walk_capacity`).  When the pool cannot cover a deficit,
+           the scheduling policy picks victims from the lower-precedence
+           tail of the *whole* batch, whose blocks are freed and who requeue
+           for recompute-on-resume.  A victim that shares prefix blocks
+           returns only its private ones (the policy therefore prefers
+           low-sharing victims), so several preemptions may be needed to
+           cover one deficit.  A sequence preempts *itself* only when no
+           lower-precedence victim remains (it is the tail).
 
         Placement-awareness: a sequence's KV is pinned to its home device,
         so the deficit is measured against *that device's* free blocks and
@@ -744,9 +754,22 @@ class ContinuousBatchingScheduler:
         due = self._capacity_due()
         if not due:
             return []
+        chunk = self.config.prefill_chunk
+        ordered = sorted(due, key=self.policy.queue_key)
+        preempted: list[Sequence] = []
+        if not self.allocation.grow_due(ordered, chunk):
+            preempted = self._walk_capacity(ordered)
+        tracker = self.decode
+        for seq in due:
+            if seq.decode_tracker is tracker:
+                tracker.arm(seq)  # the visit may have recorded a new extent
+        return preempted
+
+    def _walk_capacity(self, ordered: list[Sequence]) -> list[Sequence]:
+        """Visit due sequences one by one, preempting to cover deficits."""
         preempted: list[Sequence] = []
         chunk = self.config.prefill_chunk
-        for seq in sorted(due, key=self.policy.queue_key):
+        for seq in ordered:
             if seq.state is not RequestState.RUNNING:
                 continue  # already preempted at this boundary
             deficit = self.allocation.blocks_deficit(seq, chunk)
@@ -769,10 +792,6 @@ class ContinuousBatchingScheduler:
                     break
             if deficit > 0:
                 self.allocation.grow(seq, deficit)
-        tracker = self.decode
-        for seq in due:
-            if seq.decode_tracker is tracker:
-                tracker.arm(seq)  # the visit may have recorded a new extent
         return preempted
 
     def _capacity_due(self) -> list[Sequence]:

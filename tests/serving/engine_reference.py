@@ -3,8 +3,9 @@
 :class:`ReferenceEngine` is a verbatim copy of the per-iteration loop the
 serving engine ran before decode progress became event-driven: it counts,
 advances and capacity-checks every running sequence on every iteration
-(its scheduler scans the whole batch for capacity, its decode tracker
-tracks nothing), calls ``admit`` and ``ensure_capacity`` at every iteration
+(its scheduler scans the whole batch for capacity and grows each due
+sequence with its own ``blocks_deficit``/``grow`` visit, its decode
+tracker tracks nothing), calls ``admit`` and ``ensure_capacity`` at every iteration
 boundary, and never macro-steps.  It is priced by the per-mode cost
 functions of ``cost_reference`` (the two overlap ones in their one-pass
 form) rather than the engine's ``CostModel``.  The equivalence tests run
@@ -33,8 +34,56 @@ class WalkEverySequence(DecodeTracker):
         self.walked.append(seq)
 
 
-class ReferenceScheduler(ContinuousBatchingScheduler):
-    """The capacity walk's batch scan, verbatim."""
+class PerSequenceCapacityWalk:
+    """``ensure_capacity`` as it was before boundary growth was planned and
+    granted in bulk, verbatim: every due sequence gets its own
+    ``blocks_deficit`` → preemption → ``grow`` visit, in precedence order.
+    Mixed into the reference schedulers so the engine's bulk grant is
+    compared against an independent per-sequence oracle."""
+
+    def ensure_capacity(self) -> list[Sequence]:
+        if not self.allocation.grows or not self.running:
+            return []
+        if self.debug_checks:
+            self._audit_writable_extents()
+            self.decode.audit(self.running)
+        due = self._capacity_due()
+        if not due:
+            return []
+        preempted: list[Sequence] = []
+        chunk = self.config.prefill_chunk
+        for seq in sorted(due, key=self.policy.queue_key):
+            if seq.state is not RequestState.RUNNING:
+                continue  # already preempted at this boundary
+            deficit = self.allocation.blocks_deficit(seq, chunk)
+            home = seq.home_device
+            while deficit > self.block_manager.free_blocks_on(home):
+                candidates = [
+                    s
+                    for s in self.running
+                    if s is not seq
+                    and s.home_device == home
+                    and self.policy.queue_key(s) > self.policy.queue_key(seq)
+                ]
+                victim = self.policy.select_victim(candidates, self.block_manager)
+                if victim is None:
+                    victim = seq  # tail of the batch: yield its own blocks
+                self.preempt(victim)
+                preempted.append(victim)
+                if victim is seq:
+                    deficit = 0
+                    break
+            if deficit > 0:
+                self.allocation.grow(seq, deficit)
+        tracker = self.decode
+        for seq in due:
+            if seq.decode_tracker is tracker:
+                tracker.arm(seq)  # the visit may have recorded a new extent
+        return preempted
+
+
+class ReferenceScheduler(PerSequenceCapacityWalk, ContinuousBatchingScheduler):
+    """The capacity walk's batch scan and per-sequence visits, verbatim."""
 
     def _capacity_due(self):
         return [

@@ -10,7 +10,12 @@ every iteration.  Over seeded random on-demand configurations (prefix
 sharing with partial-tail copy-on-write, chunked prefill, recompute and
 swap preemption, disaggregated handoff and rebalance) the two must
 serialize byte-identically, and the event-driven walk must never call
-``blocks_deficit`` more often.
+``blocks_deficit`` more often.  The engine grants an iteration's boundary
+growth in bulk, one free-list take per device, whenever no copy-on-write or
+preemption is due; the reference visits every sequence on its own
+(``engine_reference.PerSequenceCapacityWalk``), so the bulk grant is checked
+against an independent per-sequence walk.  ``TestBulkGrant`` pins the global
+order of the bulk grant's trace events and its take count.
 """
 
 from __future__ import annotations
@@ -31,9 +36,13 @@ from repro.serving import (
     Request,
     SchedulerConfig,
     ServingEngine,
+    poisson_workload,
 )
 from repro.serving.cluster import ShardedBlockManager
 from repro.serving.kv_cache import KVCacheExhausted
+from repro.serving.telemetry import Tracer
+
+from engine_reference import PerSequenceCapacityWalk, ReferenceEngine
 
 SEEDS = range(20)
 NUM_REQUESTS = 30
@@ -49,8 +58,9 @@ LAYOUTS = (
 )
 
 
-class FullWalkScheduler(ContinuousBatchingScheduler):
-    """Reference walk: every running sequence is due at every boundary."""
+class FullWalkScheduler(PerSequenceCapacityWalk, ContinuousBatchingScheduler):
+    """Reference walk: every running sequence is due at every boundary and
+    is visited on its own (the per-sequence loop, not the bulk grant)."""
 
     def _capacity_due(self):
         return list(self.running)
@@ -187,13 +197,17 @@ class TestWritableExtent:
     def test_recorded_at_boundaries_and_reset_on_release(self):
         scheduler = on_demand_scheduler()
         calls = []
-        deficit = scheduler.allocation.blocks_deficit
+        grow_due = scheduler.allocation.grow_due
 
-        def recorded(seq, prefill_chunk=None):
-            calls.append(seq.generated_tokens)
-            return deficit(seq, prefill_chunk)
+        def recorded(due, prefill_chunk=None):
+            calls.extend(seq.generated_tokens for seq in due)
+            return grow_due(due, prefill_chunk)
 
-        scheduler.allocation.blocks_deficit = recorded
+        def walked(seq, prefill_chunk=None):
+            raise AssertionError("a pool with room never falls back to the walk")
+
+        scheduler.allocation.grow_due = recorded
+        scheduler.allocation.blocks_deficit = walked
         seq = scheduler.add_request(Request(0, 0.0, prompt_tokens=5, max_new_tokens=8))
         scheduler.admit(0.0)
         assert seq.kv_writable_extent == 0  # nothing recorded before a boundary
@@ -281,3 +295,122 @@ class TestBlockManagerQueries:
         before = manager.rises
         manager.allocate(1, 4)
         assert manager.rises > before
+
+
+def spy_growth(engine):
+    """Count the growth work of every ``ensure_capacity`` call of a run.
+
+    ``bulk`` counts the block manager's ``grow_many`` calls, ``grants`` the
+    sequences they grew, ``bulk_takes`` the free-list takes those calls made
+    and ``spread`` the calls that took blocks on more than one device;
+    ``visits`` and ``grows`` count the per-sequence walk's
+    ``blocks_deficit`` and ``grow`` calls.  Every ``ensure_capacity`` call
+    that ran no walk must take at most once per device.
+    """
+    counts = dict(bulk=0, grants=0, bulk_takes=0, spread=0, visits=0, grows=0)
+    manager = engine.block_manager
+    pools = getattr(manager, "pools", [manager])
+    takes = [0] * len(pools)
+
+    def counted(name, call, record=None):
+        def wrapper(*args):
+            counts[name] += 1
+            if record is not None:
+                record(*args)
+            return call(*args)
+
+        return wrapper
+
+    for d, pool in enumerate(pools):
+        take = pool._take_free_blocks
+
+        def counted_take(n, d=d, take=take):
+            if n > 0:  # a zero take hands out nothing and is no rise
+                takes[d] += 1
+            return take(n)
+
+        pool._take_free_blocks = counted_take
+
+    def record_bulk(grants):
+        counts["grants"] += len(grants)
+
+    grow_many = manager.grow_many
+    manager.grow_many = counted("bulk", grow_many, record_bulk)
+    make_scheduler = engine.make_scheduler
+
+    def spied_scheduler():
+        scheduler = make_scheduler()
+        allocation = scheduler.allocation
+        allocation.blocks_deficit = counted("visits", allocation.blocks_deficit)
+        allocation.grow = counted("grows", allocation.grow)
+        ensure_capacity = scheduler.ensure_capacity
+
+        def spied_ensure_capacity():
+            takes[:] = [0] * len(takes)
+            visits = counts["visits"]
+            preempted = ensure_capacity()
+            if counts["visits"] == visits:
+                assert max(takes) <= 1, takes  # one bulk take per device
+                counts["bulk_takes"] += sum(takes)
+                counts["spread"] += sum(takes) > 1
+            return preempted
+
+        scheduler.ensure_capacity = spied_ensure_capacity
+        return scheduler
+
+    engine.make_scheduler = spied_scheduler
+    return counts
+
+
+class TestBulkGrant:
+    """Boundary growth is granted with one free-list take per device."""
+
+    def test_grow_events_keep_global_order_across_devices(self):
+        # Six equal requests admitted together on two colocated devices:
+        # homes alternate 0, 1, 0, 1, ... in queue_key order, and every
+        # sequence crosses its block boundaries in the same iterations.
+        def run(engine_cls):
+            config = EngineConfig(devices=2, kv_policy="ondemand", block_size=4)
+            engine = engine_cls(MiLoBackend(), "mixtral-8x7b", config)
+            tracer = Tracer()
+            engine.enable_telemetry(tracer=tracer)
+            counts = spy_growth(engine) if engine_cls is ServingEngine else None
+            engine.run([Request(i, 0.0, 5, 12) for i in range(6)])
+            return tracer, counts
+
+        tracer, counts = run(ServingEngine)
+        reference, _ = run(ReferenceEngine)
+        assert counts["bulk"] == 3 and counts["grants"] == 18
+        assert counts["spread"] == 3 and counts["visits"] == counts["grows"] == 0
+        assert tracer.to_jsonl() == reference.to_jsonl()
+        grows = [e for e in tracer.events if e["kind"] == "kv" and e["op"] == "grow"]
+        assert len(grows) == 18
+        for first in range(0, 18, 6):
+            boundary = grows[first:first + 6]
+            assert [e["seq"] for e in boundary] == list(range(6))
+            assert [e["device"] for e in boundary] == [0, 1] * 3
+            # Each event carries the free count its own grow left behind.
+            free = [e["free"] for e in boundary]
+            assert free[2] == free[0] - 1 and free[4] == free[2] - 1
+            assert free[3] == free[1] - 1 and free[5] == free[3] - 1
+
+    def test_one_take_per_device_per_iteration_on_a_disagg_run(self):
+        config = EngineConfig(
+            devices=4, prefill_devices=1, decode_devices=3, kv_policy="ondemand",
+            reserve_gb=17.0, max_batch_size=256,
+        )
+        engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", config)
+        counts = spy_growth(engine)
+        report = engine.run(
+            poisson_workload(
+                num_requests=60, qps=5.0, seed=7, mean_prompt_tokens=1024,
+                mean_new_tokens=512,
+            )
+        )
+        assert report.completed == 60 and report.iterations == 875
+        # Every boundary iteration of this run is granted in bulk (no walk):
+        # 1794 growths in 642 iterations take the free lists 1137 times,
+        # never more than once per device in one iteration.
+        assert counts["visits"] == counts["grows"] == 0
+        assert counts["bulk"] == 642 and counts["grants"] == 1794
+        assert counts["bulk_takes"] == 1137 and counts["spread"] == 361

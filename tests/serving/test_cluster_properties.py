@@ -9,13 +9,20 @@ of seeded random ``allocate`` / ``allocate_shared`` / ``grow`` / CoW /
 ``free`` steps, calling ``check_invariants()`` after *every* operation, plus
 the cross-device invariant: a sequence's block table lives in exactly its
 home pool, never references a block outside it, and no other pool knows the
-sequence.
+sequence.  A multi-sequence ``grow_many`` op is checked against successive
+``grow`` calls on a twin manager (tables, free lists, refcounts,
+``physical_allocs`` and the traced ``kv`` events must match), and a
+``grow_many`` that over-draws or names an unknown sequence must fail
+without touching the manager.
 
 CI runs the fixed fast-tier seeds on every push (``-m "not slow"``); the
 weekly benchmark-smoke workflow runs the longer randomized sweep
 (``-m slow``).  Every failure message includes the seed, so a red run is
 replayable bit-for-bit.
 """
+
+import collections
+import copy
 
 import numpy as np
 import pytest
@@ -26,6 +33,7 @@ from repro.serving import (
     EngineConfig,
     ServingEngine,
     ShardedBlockManager,
+    Tracer,
     poisson_workload,
 )
 from repro.serving.kv_cache import KVCacheExhausted
@@ -57,6 +65,76 @@ def pool_sizes(manager):
     return [manager.num_blocks]
 
 
+def pools_of(manager):
+    return getattr(manager, "pools", [manager])
+
+
+def attach_tracer(manager):
+    """One tracer on every pool, as the engine attaches it."""
+    tracer = Tracer()
+    for pool in pools_of(manager):
+        pool.tracer = tracer
+    return tracer
+
+
+def pool_state(manager):
+    """Everything a grow may change, per pool, plus the home map."""
+    return [
+        (pool._tables, pool._free, pool._ref, pool.physical_allocs,
+         pool._prefix_index, pool._shared_count)
+        for pool in pools_of(manager)
+    ] + [getattr(manager, "_home", None)]
+
+
+def check_bulk_grow(manager, tracer, rng, live, unknown_id):
+    """One multi-sequence ``grow_many`` op against successive ``grow`` calls.
+
+    The twin is a deep copy of the manager (its tracer included) taken just
+    before the op.  Returns how the op went: ``"grown"`` on one device,
+    ``"spread"`` over several, or the injected fault — ``"unknown"``
+    sequence, ``"zero"`` count or ``"overdraw"`` — which must raise and leave the manager, its rise counter and the trace
+    exactly as they were.
+    """
+    seq_ids = rng.choice(sorted(live), size=int(rng.integers(2, 5)))
+    grants = [(int(seq_id), int(rng.integers(1, 3))) for seq_id in seq_ids]
+    pos = int(rng.integers(0, len(grants)))
+    fault = int(rng.integers(0, 8))
+    need: dict[int, int] = {}
+    for seq_id, blocks in grants:
+        home = manager.home_device(seq_id)
+        need[home] = need.get(home, 0) + blocks
+    if fault == 0:
+        grants.insert(pos, (unknown_id, 1))
+        outcome, error = "unknown", KVCacheExhausted
+    elif fault == 1:
+        grants[pos] = (grants[pos][0], 0)
+        outcome, error = "zero", ValueError
+    elif any(blocks > manager.free_blocks_on(d) for d, blocks in need.items()):
+        outcome, error = "overdraw", KVCacheExhausted
+    else:
+        outcome, error = "spread" if len(need) > 1 else "grown", None
+    events = len(tracer.events)
+    rises = manager.rises
+    if error is not None:
+        before = copy.deepcopy(pool_state(manager))
+        with pytest.raises(error):
+            manager.grow_many(grants)
+        assert pool_state(manager) == before
+        assert len(tracer.events) == events and manager.rises == rises
+        return outcome
+    twin = copy.deepcopy(manager)
+    twin_tracer = pools_of(twin)[0].tracer
+    manager.grow_many(grants)
+    for seq_id, blocks in grants:
+        twin.grow(seq_id, blocks)
+        live[seq_id] += blocks * BLOCK_SIZE
+    assert pool_state(manager) == pool_state(twin)
+    assert tracer.events[events:] == twin_tracer.events[events:]
+    assert len(tracer.events) - events == len(grants)
+    assert manager.rises - rises == len(need)  # one bulk take per device
+    return outcome
+
+
 def assert_cross_device_invariants(manager, live):
     """Sharding-specific partition checks on top of ``check_invariants``."""
     manager.check_invariants()
@@ -76,16 +154,19 @@ def assert_cross_device_invariants(manager, live):
 
 
 def drive_random_ops(layout, seed, steps):
-    """One randomized episode; returns the number of mutating ops applied."""
+    """One randomized episode; returns the number of mutating ops applied
+    and a count of the ``grow_many`` ops' outcomes."""
     rng = np.random.default_rng(seed)
     manager = build_manager(layout)
+    tracer = attach_tracer(manager)
     live: dict[int, int] = {}  # seq_id -> tokens covered by its table
     next_id = 0
     applied = 0
+    bulk: collections.Counter[str] = collections.Counter()
     note = f"layout={layout} seed={seed}"
 
     for step in range(steps):
-        op = rng.choice(["alloc", "alloc_shared", "grow", "cow", "free"])
+        op = rng.choice(["alloc", "alloc_shared", "grow", "grow_many", "cow", "free"])
         try:
             if op == "alloc":
                 tokens = int(rng.integers(1, 40))
@@ -122,6 +203,9 @@ def drive_random_ops(layout, seed, steps):
                     with pytest.raises(KVCacheExhausted):
                         manager.grow(seq_id, blocks)
                 applied += 1
+            elif op == "grow_many" and live:
+                bulk[check_bulk_grow(manager, tracer, rng, live, next_id + 1_000_000)] += 1
+                applied += 1
             elif op == "cow" and live:
                 seq_id = int(rng.choice(sorted(live)))
                 held_tokens = manager.blocks_held(seq_id) * BLOCK_SIZE
@@ -146,7 +230,7 @@ def drive_random_ops(layout, seed, steps):
         manager.free(seq_id)
     manager.assert_no_leaks()
     assert manager.free_blocks == sum(pool_sizes(manager))
-    return applied
+    return applied, bulk
 
 
 class TestRandomOpSequences:
@@ -155,9 +239,13 @@ class TestRandomOpSequences:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_invariants_hold_after_every_op(self, layout, seed):
-        applied = drive_random_ops(layout, seed=seed, steps=1200)
-        # The episode must actually exercise the allocator, not no-op out.
+        applied, bulk = drive_random_ops(layout, seed=seed, steps=1200)
+        # The episode must actually exercise the allocator, not no-op out,
+        # and the bulk grow must both succeed and fail each way.
         assert applied > 400
+        assert bulk["grown"] + bulk["spread"] > 15
+        assert bulk["spread"] > 5 or layout == "single"
+        assert bulk["unknown"] and bulk["zero"] and bulk["overdraw"]
 
 
 @pytest.mark.slow

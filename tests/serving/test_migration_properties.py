@@ -6,9 +6,11 @@ rebalance migrations, and swap-to-host preemption with swap-in on resume.
 Example-based tests cannot cover the interleavings, so this tier drives
 
 * the :class:`ShardedBlockManager` through thousands of seeded random
-  ``allocate`` / ``grow`` / ``migrate`` / ``free`` steps — including
-  migrations that *must* fail (destination too full) and must leave the
-  manager untouched — calling ``check_invariants()`` plus the cross-device
+  ``allocate`` / ``grow`` / ``grow_many`` / ``migrate`` / ``free`` steps —
+  including migrations and bulk grows that *must* fail (destination too
+  full, pool over-drawn, unknown sequence) and must leave the manager
+  untouched, and bulk grows checked against successive ``grow`` calls on a
+  twin manager — calling ``check_invariants()`` plus the cross-device
   partition checks after every operation, and
 * whole disaggregated engines (both preempt modes) through seeded random
   workloads under shrunken pools, checking request conservation, counter
@@ -20,6 +22,8 @@ weekly benchmark-smoke workflow runs the longer randomized sweep
 (``-m slow``).  Every failure message includes the seed, so a red run is
 replayable bit-for-bit.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -37,6 +41,8 @@ from repro.serving import (
 )
 from repro.serving.kv_cache import KVCacheExhausted
 from repro.serving.request import Request, Sequence
+
+from test_cluster_properties import attach_tracer, check_bulk_grow
 
 BLOCK_SIZE = 4
 
@@ -72,17 +78,20 @@ def assert_cross_device_invariants(manager, live):
 
 
 def drive_migration_ops(layout, seed, steps):
-    """One randomized episode; returns the number of migrations applied."""
+    """One randomized episode; returns the number of migrations applied and
+    a count of the ``grow_many`` ops' outcomes."""
     rng = np.random.default_rng(seed)
     manager = build_manager(layout)
+    tracer = attach_tracer(manager)
     num_devices = len(manager.pools)
     live: dict[int, int] = {}  # seq_id -> tokens covered by its table
     next_id = 0
     migrations = 0
+    bulk: collections.Counter[str] = collections.Counter()
     note = f"layout={layout} seed={seed}"
 
     for step in range(steps):
-        op = rng.choice(["alloc", "grow", "migrate", "free"])
+        op = rng.choice(["alloc", "grow", "grow_many", "migrate", "free"])
         try:
             if op == "alloc":
                 tokens = int(rng.integers(1, 40))
@@ -102,6 +111,8 @@ def drive_migration_ops(layout, seed, steps):
                 else:
                     with pytest.raises(KVCacheExhausted):
                         manager.grow(seq_id, blocks)
+            elif op == "grow_many" and live:
+                bulk[check_bulk_grow(manager, tracer, rng, live, next_id + 1_000_000)] += 1
             elif op == "migrate" and live:
                 seq_id = int(rng.choice(sorted(live)))
                 src = manager.home_device(seq_id)
@@ -146,7 +157,7 @@ def drive_migration_ops(layout, seed, steps):
     for seq_id in sorted(live):
         manager.free(seq_id)
     manager.assert_no_leaks()
-    return migrations
+    return migrations, bulk
 
 
 class TestRandomMigrationSequences:
@@ -155,9 +166,12 @@ class TestRandomMigrationSequences:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_invariants_hold_after_every_op(self, layout, seed):
-        migrations = drive_migration_ops(layout, seed=seed, steps=1200)
-        # The episode must actually move KV around, not no-op out.
+        migrations, bulk = drive_migration_ops(layout, seed=seed, steps=1200)
+        # The episode must actually move KV around, not no-op out, and
+        # bulk grows over migrated tables must succeed and fail each way.
         assert migrations > 50
+        assert bulk["spread"] > 5
+        assert bulk["unknown"] and bulk["zero"] and bulk["overdraw"]
 
 
 @pytest.mark.slow
