@@ -3,28 +3,28 @@
 Unlike the other benchmark modules this one regenerates no paper table; it
 measures the *simulator itself*: how fast :class:`repro.serving.ServingEngine`
 replays a large open-loop trace after the hot-loop rework (heap waiting
-queue, memoized per-device iteration costs, an event-driven loop that
-macro-steps the pure-decode stretches between events, bulk KV block moves,
+queue, memoized per-device iteration costs, an event-driven loop whose
+every turn prices one stretch of iterations, bulk KV block moves,
 ``debug_checks`` off).
 
 Five scenarios, all 100k Poisson requests against the MiLo Mixtral-8x7B
 backend (A100-40GB devices):
 
 * ``replay_100k_qps2`` — low offered load: ~2.6M mostly-uneventful decode
-  iterations, the macro-step compression showcase (primary scenario);
+  iterations, the stretch compression showcase (primary scenario);
 * ``replay_100k_qps8`` — saturating load: dense admission/eviction churn,
   stresses the per-event path;
 * ``replay_100k_qps2_overlap`` — the qps-2 trace on a 4-device group under
   the overlap-aware layered cost model (``overlap=True``): exercises the
-  epoch-keyed per-layer cost memo and the multi-device macro-step loop;
+  epoch-keyed per-layer cost memo and the multi-device stretches;
 * ``replay_100k_qps2_disagg`` — the qps-2 trace on a 4-device group split
   ``--disagg 1:3``: every request pays a prefill→decode KV handoff between
-  macro-stepped decode stretches (reserve KV, so events are sparse); this
+  long decode stretches (reserve KV, so events are sparse); this
   tracks the disagg hot path's throughput and pins its ``report_sha256``;
 * ``replay_100k_qps8_ondemand`` — the saturating qps-8 trace under
   on-demand KV allocation (``kv_policy="ondemand"``): block growth at
   every boundary crossing through the event-driven capacity walk, where
-  dense block boundaries leave little to macro-step; pinned by its
+  dense block boundaries keep most stretches short; pinned by its
   ``report_sha256`` like the rest.
 
 Results land in ``benchmarks/results/latest/BENCH_engine.json`` (git-ignored;

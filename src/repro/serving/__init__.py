@@ -75,8 +75,8 @@ Memory and scheduling decisions are *policies*, not hard-wired behavior:
   scheduler/KV gauges on a sim-time interval, both exportable as raw JSONL
   or Perfetto-loadable Chrome trace-event JSON
   (:func:`chrome_trace`) and summarized by ``milo analyze``.  Everything
-  runs on the simulated clock (DET001-clean), macro-stepped iterations
-  emit the same stream as explicit ones, and with telemetry disabled every hook
+  runs on the simulated clock (DET001-clean), every iteration of a loop
+  turn's stretch emits the event it would alone, and with telemetry disabled every hook
   sits behind one ``is not None`` test — reports stay byte-identical
   (goldens) at <5% overhead (``telemetry_overhead_frac`` benchmark gate).
 

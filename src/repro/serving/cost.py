@@ -8,8 +8,9 @@ combined by :func:`overlap_step_seconds`.  Within a pool each device runs its
 experts' share of the token load (split by routing-frequency mass, so skew
 makes stragglers) and dispatches routed tokens whose home device is not the
 expert's.  One device has every token at home, so its step is exactly the
-backend's Table 7 step latency.  Both engine loops, the report totals and
-the tracer read the same memoized :class:`IterationCost` record.
+backend's Table 7 step latency.  The engine prices each loop turn once,
+and the stretch of iterations it advances, the report totals and the
+tracer all read that one memoized :class:`IterationCost` record.
 """
 
 from __future__ import annotations

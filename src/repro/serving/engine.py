@@ -15,10 +15,12 @@ queued requests, evicting finished ones), counts the token rows the batch
 contributes — a prefilling request contributes its whole prompt (or at most
 ``prefill_chunk`` of it), a decoding request contributes one token — and
 advances the clock by ``backend.iteration_latency(spec, tokens).total``.
-Only iterations at which something happens (an arrival, a prefill chunk, a
-finish, a KV block boundary, a handoff) are simulated one by one; the
-pure-decode iterations between them repeat the same batch and are
-macro-stepped with the exact same float additions, in every engine mode.
+Each turn of the engine loop does the boundary work of whatever happened
+(an arrival, a prefill chunk, a finish, a KV block boundary, a handoff),
+prices the resulting batch once, and advances one *stretch* of iterations
+at that price: a single iteration while a sequence prefills, otherwise
+every pure-decode iteration up to the next finish or block boundary, with
+the exact float additions of stepping them one by one, in every engine mode.
 For a pure decode batch of ``B`` sequences that quantity *is* the Table 7
 cell for batch size ``B``; prefill iterations and kernels with a batch cap
 (GPTQ's GeMV) reuse the same model through the chunked
@@ -263,7 +265,7 @@ class RunTotals:  # milo: hot-path
     swap_in_s: float = 0.0
     recompute_equivalent_s: float = 0.0
 
-    def charge(self, cost: IterationCost, iterations: int = 1) -> None:
+    def charge(self, cost: IterationCost, iterations: int) -> None:
         """Accumulate ``iterations`` consecutive iterations priced ``cost``.
 
         One sequential add per iteration into each float total: the exact
@@ -466,7 +468,7 @@ class EngineConfig:
     replacement_threshold: float | None = None
     #: Run the KV pool's structural self-checks (``assert_no_leaks`` /
     #: ``check_invariants``) at the end of every run, and audit at every
-    #: explicit iteration the decode tracker's event state, that each
+    #: loop turn the decode tracker's event state, that each
     #: sequence the on-demand capacity walk skips writes into a private
     #: block it already holds, and that a skipped admission attempt would
     #: have done nothing.  On by default (and in every test); benchmarks
@@ -943,9 +945,9 @@ class ServingEngine:
     ) -> float:
         """Feed one iteration's routing into the drift tracker; maybe re-place.
 
-        Called once per *distinct* batch composition (macro-stepped
-        iterations repeat the composition of the explicit iteration that
-        observed it, so they never observe).  When the sliding
+        Called once per *distinct* batch composition (every iteration of a
+        stretch repeats the composition its loop turn observed, and a turn
+        that observes a new one advances a single iteration).  When the sliding
         window fills, compares measured per-layer frequencies against the
         profile each layer's placement was packed for and re-packs drifted
         layers, returning the migration stall (seconds) to add to the clock
@@ -969,13 +971,14 @@ class ServingEngine:
     def _run(
         self, pending: list[Request], scheduler: ContinuousBatchingScheduler
     ) -> RunTotals:
-        """The engine loop: explicit iterations at events, macro-steps between.
+        """The engine loop: one priced stretch of iterations per turn.
 
-        An explicit iteration does the boundary work in order — arrivals,
-        the on-demand capacity walk, admission and swap-in, the iteration,
-        then the decode tracker's step with the prefill→decode handoff,
-        eviction and the decode-pool rebalance — each only when its inputs
-        may have changed.  ``admit`` is retried only after an arrival,
+        A turn does the boundary work in order — arrivals, the on-demand
+        capacity walk, admission and swap-in — each only when its inputs
+        may have changed, then loads and prices the batch once and
+        advances one stretch at that cost, and finally steps the decode
+        tracker with the prefill→decode handoff, eviction and the
+        decode-pool rebalance.  ``admit`` is retried only after an arrival,
         eviction, preemption, handoff or rebalance since the last attempt:
         the only events that free blocks or requeue a sequence (a failed
         attempt's other inputs, ``may_join(running, config)`` and the prefix
@@ -984,13 +987,15 @@ class ServingEngine:
         finish is due; the KV peaks are re-read only after
         ``block_manager.rises`` moved.
 
-        After an uneventful pure-decode iteration the batch is frozen until
-        the next finish, KV block boundary (the boundary heap's top; a stale
-        top only shortens the stretch) or arrival, so the iterations up to
-        it are compressed into a loop repeating their exact float additions
-        (bit-identical clock).  With telemetry, that loop also emits their
-        ``iter`` events and due metrics samples, which read only state that
-        is constant across the stretch.
+        A stretch is one iteration while a sequence prefills or the batch
+        composition is new to the drift tracker.  Otherwise the batch is
+        frozen up to the next finish (the stretch's last iteration) or KV
+        block boundary, and the stretch ends there or at the first
+        iteration that reaches the next arrival, repeating the exact float
+        additions of stepping it one iteration at a time (bit-identical
+        clock).  With telemetry, every iteration of the stretch emits its
+        ``iter`` event and due metrics sample, which read only state that
+        is constant across it.
         """
         num_devices = len(self.device_group)
         totals = RunTotals([0] * num_devices)
@@ -1023,8 +1028,6 @@ class ServingEngine:
         metrics = self.metrics
         #: Next due metrics sample time (``inf`` disables the clock compare).
         metrics_due = metrics.next_due if metrics is not None else inf
-        iter_t0 = 0.0
-        iter_stall = 0.0
         #: ``block_manager.rises`` at the last peak sample.
         sampled_rises = -1
         #: Whether an event since the last ``admit`` may change its outcome.
@@ -1084,38 +1087,83 @@ class ServingEngine:
             # walked (prefilling) sequences need counting one by one.
             tokens, home_key = tracker.load(chunk)
             cost = cost_model.cost(tokens, home_key)
-            if multi:
-                totals.charge(cost)
-            if tracer is not None:
-                iter_t0 = clock  # float addition is not invertible
-            clock += cost.step
-            iterations += 1
-            total_tokens += tokens
+            trace_cost = cost if multi else None
+            stall = 0.0
             if drift is not None and (tokens, home_key) != last_ckey:
-                # One observation per distinct batch composition (a stretch
-                # repeats the composition its first iteration observed).
+                # One observation per distinct batch composition, before the
+                # advance (it reads only the token count): a re-placement
+                # stall lands right after this one-iteration stretch.
                 last_ckey = (tokens, home_key)
                 stall = self._observe_routing(tokens, scheduler)
+                span = 1
                 if stall:
-                    clock += stall
                     totals.migration_s += stall
                     totals.replacements += 1
                     if tracer is not None:
                         # The iter event carries the new layout's per-device
                         # compute next to the old layout's step and max/mean.
-                        iter_stall = stall
-                        cost = replace(cost, per_device=cost_model.layer_split(tokens)[4])
-            if tracer is not None:
-                tracer.iteration(
-                    iterations - 1, iter_t0, clock, tokens, len(running),
-                    cost if multi else None, iter_stall,
-                )
-                iter_stall = 0.0
-                tracer.now = clock  # finish/KV-free events below carry it
-            if metrics is not None and clock >= metrics_due:
-                metrics_due = self._sample_metrics(
-                    metrics, scheduler, clock, iterations, len(running)
-                )
+                        trace_cost = replace(cost, per_device=cost_model.layer_split(tokens)[4])
+            elif tracker.walked:
+                span = 1  # a prefill chunk changes the load every iteration
+            else:
+                # Pure decode up to the next finish (inside the stretch) or
+                # KV block boundary `b` (the last iteration before the
+                # capacity walk visits it).  A stale heap top only shortens
+                # the stretch.  A boundary already due (a swap-resumed
+                # admission can arm one) still leaves one iteration; the
+                # next turn's walk visits it.
+                span = finish_heap[0][0] - iterations
+                if boundary_heap and boundary_heap[0][0] - iterations < span:
+                    span = boundary_heap[0][0] - iterations
+                if span < 1:
+                    span = 1
+            # The first iteration always runs (a swap-in stall may have
+            # carried the clock past the next arrival), later ones only while
+            # the clock is short of it.
+            step = cost.step
+            if tracer is None and metrics is None:
+                # Conservative unchecked prefix: after k additions the
+                # accumulated rounding error is far below one step, so
+                # ``(next_at - clock)/step - 2`` iterations provably keep
+                # ``clock < next_at`` throughout — run them without the
+                # per-iteration comparison, then finish checked.
+                done = span
+                if next_at is not inf and step > 0.0:
+                    safe = int((next_at - clock) / step) - 2
+                    if safe < done:
+                        done = safe if safe > 1 else 1
+                for _ in range(done):
+                    clock += step
+                clock += stall  # stalls come only with one-iteration stretches
+                while done < span and next_at > clock:
+                    clock += step
+                    done += 1
+            else:
+                # Telemetry variant: the identical clock adds, plus each
+                # iteration's iter event and metrics due check.
+                batch = len(running)
+                done = 0
+                while True:
+                    iter_t0 = clock  # float addition is not invertible
+                    clock = clock + step + stall
+                    done += 1
+                    if tracer is not None:
+                        tracer.iteration(
+                            iterations + done - 1, iter_t0, clock, tokens, batch,
+                            trace_cost, stall,
+                        )
+                    if metrics is not None and clock >= metrics_due:
+                        metrics_due = self._sample_metrics(
+                            metrics, scheduler, clock, iterations + done, batch
+                        )
+                    if done == span or next_at <= clock:
+                        break
+                if tracer is not None:
+                    tracer.now = clock  # finish/KV-free events below carry it
+            if multi:
+                totals.charge(cost, done)
+            iterations += done
+            total_tokens += tokens * done
             rises = block_manager.rises  # a sum over pools when sharded
             if rises != sampled_rises:
                 # Occupancy can only have risen if a block was taken or
@@ -1181,70 +1229,8 @@ class ServingEngine:
                             if tracer is not None:
                                 tracer.migrate(mover, transfer_t0, clock, src, dst, blocks, stall)
                                 tracer.now = clock
-                if admit_dirty:
-                    continue
             else:
                 tracker.iteration = iterations
-
-            # -- macro step: pure decode until the next event ------------------
-            if tracker.walked or not finish_heap:
-                continue
-            span = finish_heap[0][0] - iterations - 1
-            if boundary_heap and boundary_heap[0][0] - iterations < span:
-                # The capacity walk visits boundary `b` before iteration b + 1.
-                span = boundary_heap[0][0] - iterations
-            if span <= 0:
-                continue
-            tokens = tracker.count
-            home_key = tuple(tracker.home) if multi else None
-            if drift is not None and (tokens, home_key) != last_ckey:
-                # A composition the drift tracker has not observed (the last
-                # iteration still carried prefill tokens): one explicit
-                # iteration observes it first.
-                continue
-            cost = cost_model.cost(tokens, home_key)
-            step = cost.step
-            done = 0
-            if tracer is None and metrics is None:
-                # Conservative unchecked prefix: after k additions the
-                # accumulated rounding error is far below one step, so
-                # ``(next_at - clock)/step - 2`` iterations provably keep
-                # ``clock < next_at`` throughout — run them without the
-                # per-iteration comparison, then finish checked.
-                bulk = span
-                if next_at is not inf and step > 0.0:
-                    safe = int((next_at - clock) / step) - 2
-                    if safe < bulk:
-                        bulk = safe
-                if bulk > 0:
-                    for _ in range(bulk):
-                        clock += step
-                    done = bulk
-                while done < span and next_at > clock:
-                    clock += step
-                    done += 1
-            else:
-                # Telemetry variant: the identical clock adds, plus each
-                # iteration's iter event and metrics due check.
-                trace_cost = cost if multi else None
-                batch = len(running)
-                while done < span and next_at > clock:
-                    iter_t0 = clock
-                    clock += step
-                    done += 1
-                    if tracer is not None:
-                        tracer.iteration(
-                            iterations + done - 1, iter_t0, clock, tokens, batch, trace_cost
-                        )
-                    if metrics is not None and clock >= metrics_due:
-                        metrics_due = self._sample_metrics(
-                            metrics, scheduler, clock, iterations + done, batch
-                        )
-            if multi:
-                totals.charge(cost, done)
-            iterations += done
-            tracker.iteration = iterations
-            total_tokens += tokens * done
 
         totals.clock = clock
         totals.iterations = iterations

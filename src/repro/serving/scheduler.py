@@ -241,9 +241,8 @@ class WaitingQueue:
     a custom policy whose key mutates for *queued* sequences must re-push
     them (the old code had the same caveat, just one re-sort later).
 
-    List-compat surface: ``append`` aliases ``push``, ``sort`` is a no-op
-    (the heap already serves keys in order), iteration and indexing yield
-    the sorted view, ``pop(0)`` pops the head.
+    Admission reads the head with :meth:`peek` and removes it with
+    :meth:`pop`; iteration yields the sorted view.
     """
 
     __slots__ = ("_key", "_heap", "_pushes")
@@ -257,23 +256,16 @@ class WaitingQueue:
         heapq.heappush(self._heap, (self._key(seq), self._pushes, seq))
         self._pushes += 1
 
-    #: List-compat alias so callers written against the old list still work.
-    append = push
-
     def peek(self) -> Sequence:
         """The head — the sequence the policy admits next."""
         return self._heap[0][2]
 
-    def pop(self, index: int = 0) -> Sequence:
-        if index != 0:
-            raise IndexError("WaitingQueue only pops the head (index 0)")
+    def pop(self) -> Sequence:
+        """Remove and return the head."""
         return heapq.heappop(self._heap)[2]
 
     def clear(self) -> None:
         self._heap.clear()
-
-    def sort(self, key: Callable | None = None) -> None:
-        """No-op list-compat shim: the heap already serves keys in order."""
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -285,11 +277,6 @@ class WaitingQueue:
         # The push counter makes every entry distinct, so sequences are
         # never compared and ties keep insertion order (stable-sort view).
         return (entry[2] for entry in sorted(self._heap))
-
-    def __getitem__(self, index: int) -> Sequence:
-        if index == 0 and self._heap:
-            return self._heap[0][2]
-        return sorted(self._heap)[index][2]
 
 
 _FINISHED = RequestState.FINISHED
@@ -628,11 +615,11 @@ class ContinuousBatchingScheduler:
         admitted: list[Sequence] = []
         tracer = self.tracer
         while self.waiting and self.policy.may_join(self.running, self.config):
-            head = self.waiting[0]
+            head = self.waiting.peek()
             if self.decode_pool is not None:
                 self._steer(head)
             if self.allocation.can_admit(head):
-                self.waiting.pop(0)
+                self.waiting.pop()
                 self.allocation.admit(head)
                 # Record where the allocation landed: the pool picks the
                 # least-loaded fitting device (always 0 on a single pool),
@@ -654,7 +641,7 @@ class ContinuousBatchingScheduler:
                     # precedes the admit event it belongs to.
                     tracer.admit(head, now)
             elif self._sheds(head):
-                self.waiting.pop(0)
+                self.waiting.pop()
                 head.reject()
                 self.rejected.append(head)
                 if tracer is not None:
@@ -695,7 +682,7 @@ class ContinuousBatchingScheduler:
         """
         if not self.waiting or not self.policy.may_join(self.running, self.config):
             return
-        head = self.waiting[0]
+        head = self.waiting.peek()
         if self.decode_pool is not None:
             self._steer(head)
         fits = self.allocation.can_admit(head)

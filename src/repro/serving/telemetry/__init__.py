@@ -3,8 +3,8 @@
 Everything here runs on the engine's *simulated* clock — no wall time, no
 randomness (DET001-clean) — so traces are as reproducible as the reports:
 the same (backend, workload, config) triple always yields byte-identical
-trace and metrics files, and macro-stepped decode emits the same stream
-as simulating every iteration.
+trace and metrics files, and a loop turn's multi-iteration stretch emits
+the same stream as simulating every iteration.
 
 Modules
 -------

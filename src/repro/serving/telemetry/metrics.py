@@ -22,7 +22,8 @@ Sampling is aligned to the interval grid: after a sample at time ``t`` the
 next one is due at ``interval * (floor(t / interval) + 1)``, so a quiet
 stretch yields one sample per grid crossing rather than a backlog.  All
 timestamps are simulated seconds — the registry is DET001-clean, and a
-macro-stepped stretch samples exactly where explicit iterations would.
+loop turn's stretch samples exactly where simulating its iterations one by
+one would.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Report equivalence of the engine loop against the reference loop.
 
-The engine simulates only the iterations at which something happens and
-macro-steps the pure-decode stretches between them; the reference engine
-(``engine_reference``) walks every running sequence on every iteration,
-calls ``admit`` and ``ensure_capacity`` at every boundary and never
-macro-steps.  Three things must never change the simulated result, only
+The engine does boundary work only at events and prices each loop turn
+once, advancing the whole pure-decode stretch up to the next event at that
+price; the reference engine (``engine_reference``) walks every running
+sequence on every iteration, calls ``admit`` and ``ensure_capacity`` at
+every boundary and prices every iteration.  Three things must never change the simulated result, only
 how fast it is computed:
 
 * the event-driven loop itself (engine vs reference, across the workload ×
@@ -35,6 +35,8 @@ from repro.serving import (
     Tracer,
     poisson_workload,
 )
+from repro.serving.cost import CostModel
+from repro.serving.scheduler import DecodeTracker
 
 from engine_reference import ReferenceEngine
 from test_accounting import AdmitNothingPolicy
@@ -45,7 +47,7 @@ WORKLOADS = {
     "decode_heavy": dict(num_requests=80, qps=4.0, seed=21, mean_new_tokens=96),
     # Bursty arrivals: admission churn, queueing, small spans.
     "bursty": dict(num_requests=120, qps=60.0, seed=22, mean_new_tokens=32),
-    # Shared prefixes under reservation: prefix cache between macro-steps.
+    # Shared prefixes under reservation: prefix cache between stretches.
     "prefix_shared": dict(
         num_requests=60, qps=30.0, seed=23, mean_new_tokens=48,
         shared_prefix_tokens=32, prefix_groups=3,
@@ -62,7 +64,7 @@ CONFIGS = {
     "reserve_reject": dict(admission="reject", max_batch_size=8),
     "reserve_chunked": dict(prefill_chunk=32),
     # Overlap-aware layered cost model: epoch-keyed cost memo, per-layer
-    # placements, drift observation interleaved with macro-stepping.
+    # placements, drift observation interleaved with stretches.
     "overlap_4dev": dict(devices=4, overlap=True),
     "overlap_replace": dict(devices=2, overlap=True, replacement_threshold=0.05),
     # Swap preemption under reservation: reserve never preempts, so the
@@ -233,3 +235,37 @@ def test_cost_cache_reuse_across_runs_is_byte_identical(config, traced_warmup):
     assert warm == cold
     if config.get("replacement_threshold"):
         assert warmup.overlap["replacements"]  # the memo spanned several epochs
+
+
+# ---------------------------------------------------------------------------
+# one pricing per loop turn
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dict(), dict(devices=4, overlap=True, replacement_threshold=0.02)],
+    ids=["colocated_reserve", "overlap_replace_4dev"],
+)
+def test_one_pricing_per_loop_turn(config, monkeypatch):
+    """Every loop turn loads the batch once and prices it once; the stretch
+    of iterations it advances reuses that price instead of re-pricing."""
+    calls = {"cost": 0, "load": 0}
+    cost, load = CostModel.cost, DecodeTracker.load
+
+    def counted_cost(self, *args):
+        calls["cost"] += 1
+        return cost(self, *args)
+
+    def counted_load(self, *args):
+        calls["load"] += 1
+        return load(self, *args)
+
+    monkeypatch.setattr(CostModel, "cost", counted_cost)
+    monkeypatch.setattr(DecodeTracker, "load", counted_load)
+    engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", EngineConfig(**config))
+    report = engine.run(poisson_workload(**WORKLOADS["decode_heavy"]))
+    assert calls["cost"] == calls["load"]
+    assert report.iterations > 2 * calls["load"]  # stretches span many iterations
+    if config:
+        assert report.overlap["replacements"]  # stalls and re-pricing happened

@@ -59,7 +59,6 @@ class TestHeapMatchesStableSort:
         assert len(queue) == len(expected)
         if expected:
             assert queue.peek() is expected[0]
-            assert queue[0] is expected[0]
 
     @given(ops=OPS)
     @settings(max_examples=200, deadline=None)
@@ -75,7 +74,7 @@ class TestHeapMatchesStableSort:
                     continue
                 model = model_sorted(model, policy.queue_key)
                 expected_head = model.pop(0)
-                assert queue.pop(0) is expected_head
+                assert queue.pop() is expected_head
             else:
                 seq = make_seq(next_id, op, next_id)
                 next_id += 1
@@ -109,7 +108,7 @@ class TestHeapMatchesStableSort:
                 break
             model = model_sorted(model, policy.queue_key)
             victim = model.pop(0)
-            popped = queue.pop(0)
+            popped = queue.pop()
             assert popped is victim
             queue.push(victim)  # key unchanged: same (priority, enqueue_index)
             model.append(victim)
@@ -126,26 +125,7 @@ class TestHeapMatchesStableSort:
         seqs = [make_seq(i, prio, 0) for i, prio in enumerate(priorities)]
         for seq in seqs:
             queue.push(seq)
-        drained = [queue.pop(0) for _ in range(len(queue))]
+        drained = [queue.pop() for _ in range(len(queue))]
         by_priority = sorted(seqs, key=lambda s: s.request.priority)
         # sorted() is stable: within a priority class, original (push) order.
         assert drained == by_priority
-
-    def test_list_compat_surface(self):
-        policy = FifoPriorityPolicy()
-        queue = WaitingQueue(policy.queue_key)
-        assert not queue and len(queue) == 0
-        seq = make_seq(0, 0, 0)
-        queue.append(seq)  # list-compat alias
-        queue.sort()  # no-op shim
-        assert queue and queue[0] is seq
-        try:
-            queue.pop(1)
-        except IndexError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("pop(1) must raise IndexError")
-        assert queue.pop(0) is seq
-        queue.push(seq)
-        queue.clear()
-        assert len(queue) == 0

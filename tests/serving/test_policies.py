@@ -166,9 +166,8 @@ class TestPreemption:
         b.preempt()
         b.requeue()
         sched.running.remove(b)
-        sched.waiting.append(b)
+        sched.waiting.push(b)
         late = sched.add_request(req(2, prompt=8, decode=8))
-        sched.waiting.sort(key=sched.policy.queue_key)
         assert [s.request.request_id for s in sched.waiting] == [1, 2]
         assert a.state is RequestState.RUNNING
 

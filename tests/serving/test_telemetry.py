@@ -3,8 +3,8 @@
 Four properties are pinned here, mirroring the guarantees the package
 docstring makes:
 
-1. **Reference stream equivalence** — the engine loop, whose macro-stepped
-   decode emits the events of the iterations it compresses, produces
+1. **Reference stream equivalence** — the engine loop, whose stretches
+   emit the events of every iteration they advance, produces
    byte-for-byte the same trace and metrics streams as the reference loop
    that simulates every iteration (``engine_reference``), across every
    engine mode (chunked prefill, prefix sharing, cluster, overlap, dynamic
@@ -103,7 +103,7 @@ def test_streams_match_reference(workload, config):
 
 
 def test_ondemand_streams_match_reference():
-    """Growth workloads: grow/cow/preempt events between macro-steps."""
+    """Growth workloads: grow/cow/preempt events between stretches."""
     assert_streams_match_reference(ONDEMAND_CONFIG, ONDEMAND_WORKLOAD)
 
 
