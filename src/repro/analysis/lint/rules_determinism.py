@@ -15,7 +15,12 @@ violations:
   and the legacy ``np.random.<fn>`` conveniences draw from hidden global
   state that any import can perturb; the only sanctioned idiom is an
   explicitly seeded, explicitly passed ``np.random.Generator``
-  (``np.random.default_rng(seed)`` constructs one and is allowed).
+  (``np.random.default_rng(seed)`` constructs one and is allowed).  The
+  rule also flags ``scipy.sparse.linalg`` eigensolvers called without a
+  start vector (``svds``/``eigsh``/``eigs`` without ``v0``, ``lobpcg``
+  without ``X``) or an ``rng``/``random_state``: ARPACK then draws its
+  start vector from numpy's global RNG inside the library, where no call
+  site shows it.
 * **DET003** — iterating a bare ``set``/``frozenset`` in the serving
   package.  Set iteration order depends on insertion history and hash
   randomization; feeding it into accumulation (``sum``/``list``/``join``/
@@ -65,6 +70,36 @@ _NP_RANDOM_ALLOWED: frozenset[str] = frozenset(
 )
 
 
+#: Iterative ``scipy.sparse.linalg`` eigensolvers and the argument that
+#: carries their start vector: its keyword and its positional index.
+_START_VECTOR_SOLVERS: dict[str, tuple[str, int]] = {
+    "svds": ("v0", 5),
+    "eigsh": ("v0", 5),
+    "eigs": ("v0", 5),
+    "lobpcg": ("X", 1),
+}
+#: Keywords that hand any of those solvers an explicit random source.
+_SOLVER_RNG_KEYWORDS: frozenset[str] = frozenset({"rng", "random_state"})
+
+
+def _solver_start_missing(node: ast.Call, resolved: str) -> str | None:
+    """The solver's start-vector argument, if ``node`` passes no start
+    vector and no explicit random source; ``None`` otherwise."""
+    module, _, name = resolved.rpartition(".")
+    if name not in _START_VECTOR_SOLVERS or not (module + ".").startswith(
+        "scipy.sparse.linalg."
+    ):
+        return None
+    start, position = _START_VECTOR_SOLVERS[name]
+    if len(node.args) > position or any(isinstance(arg, ast.Starred) for arg in node.args):
+        return None
+    for keyword in node.keywords:
+        # A ``**`` splat (``arg`` None) may carry either; give it the benefit.
+        if keyword.arg is None or keyword.arg == start or keyword.arg in _SOLVER_RNG_KEYWORDS:
+            return None
+    return start
+
+
 @register_rule
 class WallClockRule(Rule):
     """DET001: no wall-clock reads where the discrete-event clock rules."""
@@ -100,8 +135,9 @@ class GlobalRandomnessRule(Rule):
 
     code = "DET002"
     description = (
-        "no global-state randomness (random.*, np.random.<fn>); use an "
-        "explicitly seeded np.random.Generator (np.random.default_rng)"
+        "no global-state randomness (random.*, np.random.<fn>, ARPACK solvers "
+        "without a start vector); use an explicitly seeded np.random.Generator "
+        "(np.random.default_rng)"
     )
     scope = ("src/*",)
 
@@ -131,6 +167,15 @@ class GlobalRandomnessRule(Rule):
                         f"np.random.{attr}() uses numpy's legacy global RNG; "
                         f"use np.random.default_rng(seed) and pass the "
                         f"Generator explicitly",
+                    )
+            else:
+                start = _solver_start_missing(node, resolved)
+                if start is not None:
+                    yield context.diagnostic(
+                        node,
+                        self.code,
+                        f"{resolved}() without {start}= or rng= draws its start "
+                        f"vector from numpy's global RNG; pass a deterministic one",
                     )
 
 

@@ -29,7 +29,9 @@ def truncated_svd_factors(residual: np.ndarray, rank: int) -> tuple[np.ndarray, 
 
     Uses a dense SVD for small matrices and ARPACK (``scipy.sparse.linalg.svds``)
     when the requested rank is much smaller than the matrix — the same role
-    ``torch.svd_lowrank`` plays in the paper's implementation.
+    ``torch.svd_lowrank`` plays in the paper's implementation.  Both paths
+    are deterministic: ARPACK starts from a fixed vector, never from global
+    random state.
     """
     residual = np.asarray(residual, dtype=np.float64)
     if residual.ndim != 2:
@@ -42,7 +44,10 @@ def truncated_svd_factors(residual: np.ndarray, rank: int) -> tuple[np.ndarray, 
 
     use_sparse = max_rank > 256 and rank < max_rank // 4
     if use_sparse:
-        U_hat, S, Vt_hat = svds(residual, k=rank)
+        # Without a start vector ARPACK draws one from numpy's global RNG;
+        # a fixed one makes the factors a function of the residual alone.
+        v0 = np.random.default_rng(0).standard_normal(max_rank)
+        U_hat, S, Vt_hat = svds(residual, k=rank, v0=v0)
         # svds returns ascending singular values; flip to descending.
         order = np.argsort(-S)
         U_hat, S, Vt_hat = U_hat[:, order], S[order], Vt_hat[order]

@@ -60,9 +60,11 @@ Memory and scheduling decisions are *policies*, not hard-wired behavior:
   its own pool-local expert placement.  New requests prefill on the prefill
   pool; the iteration that completes prefill hands the sequence's KV blocks
   to the least-loaded decode device
-  (:meth:`ShardedBlockManager.migrate`), priced per block over the
+  (:meth:`ContinuousBatchingScheduler.handoff` over
+  :meth:`ShardedBlockManager.migrate`), priced per block over the
   interconnect and charged to the deterministic clock.  A load-triggered
-  :meth:`SchedulingPolicy.select_rebalance` hook keeps the decode pool
+  :meth:`SchedulingPolicy.select_rebalance` hook
+  (:meth:`ContinuousBatchingScheduler.rebalance`) keeps the decode pool
   even, and ``EngineConfig.preempt_mode='swap'`` (:data:`PREEMPT_MODES`)
   turns preemption into swap-to-host: the victim's KV parks in host memory
   and is restored over ``DeviceSpec.host_bandwidth`` on re-admission, with

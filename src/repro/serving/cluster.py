@@ -437,7 +437,7 @@ class ShardedBlockManager:
         self._home: dict[int, int] = {}
         #: Restrict *new* admissions (home selection and the intake
         #: ``fits_at_all`` check) to these device indices; ``None`` (default)
-        #: considers every pool.  The disaggregated engine points this at the
+        #: considers every pool.  A disaggregated scheduler points this at the
         #: prefill pool — or the decode pool while re-admitting a swapped-out
         #: decode-phase sequence — and :meth:`migrate` is how blocks cross the
         #: boundary afterwards.  Sequences already resident are unaffected.
@@ -687,8 +687,8 @@ class ShardedBlockManager:
     def migrate(self, seq_id: int, src: int, dst: int) -> int:
         """Bulk-move a sequence's KV blocks from device ``src`` to ``dst``.
 
-        The disaggregated engine's prefill→decode handoff and the decode-pool
-        rebalancer both land here.  The destination pool materializes the
+        The scheduler's prefill→decode handoff and decode-pool rebalance
+        both land here.  The destination pool materializes the
         same number of *private* blocks the sequence held on the source, then
         the source table is released through the ordinary refcounted path —
         so shared prefix blocks merely drop one reference (their residency on

@@ -109,10 +109,9 @@ from .kv_cache import (
 )
 from .request import Request, Sequence
 from .scheduler import (
-    ADMISSION_MODES,
-    PREEMPT_MODES,
     ContinuousBatchingScheduler,
     FifoPriorityPolicy,
+    KVMove,
     SchedulerConfig,
 )
 
@@ -481,18 +480,11 @@ class EngineConfig:
             raise ValueError("block_size must be positive")
         if self.reserve_gb < 0:
             raise ValueError("reserve_gb must be non-negative")
-        if self.max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
-        if self.admission not in ADMISSION_MODES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_MODES}, got {self.admission!r}"
-            )
+        self.scheduler_config()  # validates the scheduler's knobs
         if self.kv_policy not in ALLOCATION_POLICIES:
             raise ValueError(
                 f"kv_policy must be one of {sorted(ALLOCATION_POLICIES)}, got {self.kv_policy!r}"
             )
-        if self.prefill_chunk is not None and self.prefill_chunk <= 0:
-            raise ValueError("prefill_chunk must be positive (or None to disable)")
         if self.devices <= 0:
             raise ValueError("devices must be positive")
         if self.prefill_devices < 0 or self.decode_devices < 0:
@@ -506,10 +498,6 @@ class EngineConfig:
             raise ValueError(
                 f"prefill_devices + decode_devices must equal devices "
                 f"({self.prefill_devices} + {self.decode_devices} != {self.devices})"
-            )
-        if self.preempt_mode not in PREEMPT_MODES:
-            raise ValueError(
-                f"preempt_mode must be one of {PREEMPT_MODES}, got {self.preempt_mode!r}"
             )
         if self.placement not in PLACEMENT_POLICIES:
             raise ValueError(
@@ -543,6 +531,15 @@ class EngineConfig:
                     "replacement_threshold must lie in (0, 1) — it is a "
                     "total-variation distance between frequency distributions"
                 )
+
+    def scheduler_config(self) -> SchedulerConfig:
+        """The scheduler's share of these knobs (validated there)."""
+        return SchedulerConfig(
+            max_batch_size=self.max_batch_size,
+            admission=self.admission,
+            prefill_chunk=self.prefill_chunk,
+            preempt_mode=self.preempt_mode,
+        )
 
 
 @dataclass
@@ -685,10 +682,6 @@ class ServingEngine:
         self._disagg = self.config.prefill_devices > 0
         placements: tuple[ExpertPlacement, ...] = (self.placement,)
         if self._disagg:
-            self._prefill_pool = tuple(range(self.config.prefill_devices))
-            self._decode_pool = tuple(
-                range(self.config.prefill_devices, self.config.devices)
-            )
             placements = tuple(
                 make_expert_placement(self.config.placement, frequencies, n)
                 for n in (self.config.prefill_devices, self.config.decode_devices)
@@ -783,11 +776,6 @@ class ServingEngine:
             self.block_manager = ShardedBlockManager(
                 pools, device_names=self.device_group.names
             )
-            if self._disagg:
-                # New admissions land on the prefill pool; the scheduler
-                # re-steers this restriction per head (decode pool for
-                # swapped decode-phase resumes) and restores it after.
-                self.block_manager.admit_devices = self._prefill_pool
 
         #: Per-block KV transfer seconds: prefill→decode handoffs and
         #: rebalance migrations cross the interconnect; swap-to-host traffic
@@ -830,22 +818,15 @@ class ServingEngine:
         )
 
     def make_scheduler(self) -> ContinuousBatchingScheduler:
-        """Build the scheduler/policy stack for one run over this engine's pool."""
+        """Build the scheduler/policy stack (and pool split) for one run."""
         scheduler = ContinuousBatchingScheduler(
             self.block_manager,
-            SchedulerConfig(
-                max_batch_size=self.config.max_batch_size,
-                admission=self.config.admission,
-                prefill_chunk=self.config.prefill_chunk,
-                preempt_mode=self.config.preempt_mode,
-            ),
+            self.config.scheduler_config(),
             allocation=make_allocation_policy(self.config.kv_policy, self.block_manager),
             policy=FifoPriorityPolicy(),
+            prefill_devices=self.config.prefill_devices,
         )
         scheduler.debug_checks = self.config.debug_checks
-        if self._disagg:
-            scheduler.prefill_pool = self._prefill_pool
-            scheduler.decode_pool = self._decode_pool
         return scheduler
 
     # -- telemetry ---------------------------------------------------------------
@@ -947,11 +928,11 @@ class ServingEngine:
 
         Called once per *distinct* batch composition (every iteration of a
         stretch repeats the composition its loop turn observed, and a turn
-        that observes a new one advances a single iteration).  When the sliding
-        window fills, compares measured per-layer frequencies against the
-        profile each layer's placement was packed for and re-packs drifted
-        layers, returning the migration stall (seconds) to add to the clock
-        — 0.0 when nothing moved.
+        whose observation re-places advances a single iteration).  When the
+        sliding window fills, compares measured per-layer frequencies
+        against the profile each layer's placement was packed for and
+        re-packs drifted layers, returning the migration stall (seconds) to
+        add to the clock — 0.0 when nothing moved.
         """
         drift = self._drift
         drift.observe(tokens)
@@ -968,6 +949,25 @@ class ServingEngine:
             moved, self._expert_layer_bytes, self.backend.device.interconnect_bandwidth
         )
 
+    def _transfer(self, kind: str, move: KVMove, clock: float, totals: RunTotals) -> float:
+        """Price a KV move the scheduler made, ``kind`` ``"handoff"`` or
+        rebalance ``"migrate"``: its blocks stall the clock, which is returned."""
+        stall = move.blocks * self._handoff_s_per_block
+        t1 = clock + stall
+        if kind == "handoff":
+            totals.handoffs += 1
+            totals.handoff_blocks += move.blocks
+            totals.handoff_s += stall
+        else:
+            totals.rebalances += 1
+            totals.rebalanced_blocks += move.blocks
+            totals.rebalance_s += stall
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.transfer(kind, move.seq, clock, t1, move.src, move.dst, move.blocks, stall)
+            tracer.now = t1  # later KV events carry the advanced clock
+        return t1
+
     def _run(
         self, pending: list[Request], scheduler: ContinuousBatchingScheduler
     ) -> RunTotals:
@@ -978,17 +978,18 @@ class ServingEngine:
         may have changed, then loads and prices the batch once and
         advances one stretch at that cost, and finally steps the decode
         tracker with the prefill→decode handoff, eviction and the
-        decode-pool rebalance.  ``admit`` is retried only after an arrival,
-        eviction, preemption, handoff or rebalance since the last attempt:
-        the only events that free blocks or requeue a sequence (a failed
-        attempt's other inputs, ``may_join(running, config)`` and the prefix
-        index, which gains entries only at admission, cannot change in
-        between).  The tracker steps only while a sequence prefills or a
+        decode-pool rebalance, which the scheduler decides and makes and
+        the loop only prices (:meth:`_transfer`).  ``admit`` is retried
+        only after an arrival, eviction, preemption, handoff or rebalance
+        since the last attempt: the only events that free blocks or requeue
+        a sequence (a failed attempt's other inputs, ``may_join(running,
+        config)`` and the prefix index, which gains entries only at
+        admission, cannot change in between).  The tracker steps only while a sequence prefills or a
         finish is due; the KV peaks are re-read only after
         ``block_manager.rises`` moved.
 
-        A stretch is one iteration while a sequence prefills or the batch
-        composition is new to the drift tracker.  Otherwise the batch is
+        A stretch is one iteration while a sequence prefills or right after
+        a dynamic re-placement moved experts.  Otherwise the batch is
         frozen up to the next finish (the stretch's last iteration) or KV
         block boundary, and the stretch ends there or at the first
         iteration that reaches the next arrival, repeating the exact float
@@ -1009,7 +1010,6 @@ class ServingEngine:
         multi = num_devices > 1
         disagg = self._disagg
         swap_mode = scheduler.config.preempt_mode == "swap"
-        rebalance_pool = disagg and len(self._decode_pool) > 1
         drift = self._drift
         last_ckey = None
         cost_model = self.cost_model
@@ -1091,11 +1091,9 @@ class ServingEngine:
             stall = 0.0
             if drift is not None and (tokens, home_key) != last_ckey:
                 # One observation per distinct batch composition, before the
-                # advance (it reads only the token count): a re-placement
-                # stall lands right after this one-iteration stretch.
+                # advance (it reads only the token count).
                 last_ckey = (tokens, home_key)
                 stall = self._observe_routing(tokens, scheduler)
-                span = 1
                 if stall:
                     totals.migration_s += stall
                     totals.replacements += 1
@@ -1103,8 +1101,10 @@ class ServingEngine:
                         # The iter event carries the new layout's per-device
                         # compute next to the old layout's step and max/mean.
                         trace_cost = replace(cost, per_device=cost_model.layer_split(tokens)[4])
-            elif tracker.walked:
-                span = 1  # a prefill chunk changes the load every iteration
+            if stall or tracker.walked:
+                # A re-placement reprices the next iteration (its stall lands
+                # after this one); a prefill chunk changes every iteration.
+                span = 1
             else:
                 # Pure decode up to the next finish (inside the stretch) or
                 # KV block boundary `b` (the last iteration before the
@@ -1175,60 +1175,23 @@ class ServingEngine:
                 finished_any = tracker.step(iterations, clock, chunk, tracer, started)
                 for seq in started or ():
                     # Prefill just completed: the KV leaves the prefill pool
-                    # before the next iteration (first token already emitted
-                    # — the handoff delays the second) for the decode device
-                    # with the most free blocks that holds it.
+                    # before the next iteration (the handoff delays the
+                    # second token), or the sequence is preempted.
                     admit_dirty = True
-                    req_id = seq.request.request_id
-                    blocks = block_manager.blocks_held(req_id)
-                    free = {d: block_manager.free_blocks_on(d) for d in self._decode_pool}
-                    dst = max(
-                        (d for d in free if free[d] >= blocks), key=free.__getitem__, default=-1
-                    )
-                    if dst < 0:
-                        # No decode device can hold it now: preempt it off
-                        # the prefill device instead (preempt_mode decides
-                        # recompute vs swap) to retry admission later.
-                        scheduler.preempt(seq)
-                        continue
-                    src = seq.home_device
-                    block_manager.migrate(req_id, src, dst)
-                    tracker.rehome(seq, dst)
-                    stall = blocks * self._handoff_s_per_block
-                    transfer_t0 = clock
-                    clock += stall
-                    totals.handoffs += 1
-                    totals.handoff_blocks += blocks
-                    totals.handoff_s += stall
-                    if tracer is not None:
-                        tracer.handoff(seq, transfer_t0, clock, src, dst, blocks, stall)
-                        tracer.now = clock
+                    move = scheduler.handoff(seq)
+                    if move is not None:
+                        clock = self._transfer("handoff", move, clock, totals)
                 if started:
                     started.clear()
                 if finished_any:
                     scheduler.evict_finished()
                     admit_dirty = True  # freed blocks / batch slots
-                    if rebalance_pool:
-                        # Elasticity hook: batch membership changed, so the
-                        # decode pool's load may have skewed — let the
-                        # policy move (at most) one decode sequence.
-                        move = scheduler.policy.select_rebalance(
-                            running, block_manager, self._decode_pool
-                        )
+                    if disagg:
+                        # Batch membership changed, so the decode pool's
+                        # load may have skewed.
+                        move = scheduler.rebalance()
                         if move is not None:
-                            mover, dst = move
-                            src = mover.home_device
-                            blocks = block_manager.migrate(mover.request.request_id, src, dst)
-                            tracker.rehome(mover, dst)
-                            stall = blocks * self._handoff_s_per_block
-                            transfer_t0 = clock
-                            clock += stall
-                            totals.rebalances += 1
-                            totals.rebalanced_blocks += blocks
-                            totals.rebalance_s += stall
-                            if tracer is not None:
-                                tracer.migrate(mover, transfer_t0, clock, src, dst, blocks, stall)
-                                tracer.now = clock
+                            clock = self._transfer("migrate", move, clock, totals)
             else:
                 tracker.iteration = iterations
 

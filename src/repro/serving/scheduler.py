@@ -15,6 +15,13 @@ Two policy objects compose the scheduler:
   when on-demand allocation runs the pool dry — which running sequence to
   preempt.
 
+The scheduler also owns every move of KV between devices: it holds the
+disaggregated prefill/decode pool split, steers admissions onto it, and
+beside :meth:`~ContinuousBatchingScheduler.preempt` makes the
+:meth:`~ContinuousBatchingScheduler.handoff` and
+:meth:`~ContinuousBatchingScheduler.rebalance` moves, returning each
+:class:`KVMove` for the engine to price on its clock.
+
 Scheduling invariants (all covered by ``tests/serving/test_scheduler.py``
 and ``tests/serving/test_policies.py``):
 
@@ -45,7 +52,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .kv_cache import AllocationPolicy, BlockManager, KVCacheExhausted, ReservationPolicy
 from .request import Request, RequestState, Sequence
@@ -61,6 +68,7 @@ __all__ = [
     "FifoPriorityPolicy",
     "WaitingQueue",
     "DecodeTracker",
+    "KVMove",
     "MissedAdmission",
     "ContinuousBatchingScheduler",
 ]
@@ -180,9 +188,10 @@ class SchedulingPolicy:
     ) -> tuple[Sequence, int] | None:
         """Pick a decode-phase migration to even the decode pool, or ``None``.
 
-        Load-triggered rebalancing hook of the disaggregated engine: called
-        at iteration boundaries where batch membership changed, over the
-        decode pool's devices.  The default moves the smallest decode-phase
+        Load-triggered rebalancing hook of a disaggregated scheduler:
+        :meth:`ContinuousBatchingScheduler.rebalance` calls it at iteration
+        boundaries where batch membership changed, over the decode pool's
+        devices.  The default moves the smallest decode-phase
         sequence (fewest blocks held, ties by enqueue order) off the
         most-loaded decode device (fewest free blocks, ties by index) onto
         the least-loaded one — but only when the move leaves the destination
@@ -191,8 +200,6 @@ class SchedulingPolicy:
         back and forth.  Returns ``(sequence, destination_device)``;
         subclasses may override for other elasticity disciplines.
         """
-        if len(decode_pool) < 2:
-            return None
         free = {d: pool.free_blocks_on(d) for d in decode_pool}
         most_loaded = min(decode_pool, key=lambda d: (free[d], d))
         least_loaded = max(decode_pool, key=lambda d: (free[d], -d))
@@ -280,6 +287,15 @@ class WaitingQueue:
 
 
 _FINISHED = RequestState.FINISHED
+
+
+class KVMove(NamedTuple):
+    """One sequence's KV blocks moved between devices, for the engine to price."""
+
+    seq: Sequence
+    src: int
+    dst: int
+    blocks: int
 
 
 class MissedAdmission(RuntimeError):
@@ -535,6 +551,7 @@ class ContinuousBatchingScheduler:
         *,
         allocation: AllocationPolicy | None = None,
         policy: SchedulingPolicy | None = None,
+        prefill_devices: int = 0,
     ) -> None:
         self.block_manager = block_manager
         self.config = config or SchedulerConfig()
@@ -561,12 +578,15 @@ class ContinuousBatchingScheduler:
             boundaries=self.allocation.grows,
         )
         self._admit_counter = 0
-        #: Disaggregated pool split, set by the engine (``None`` = colocated):
-        #: new admissions are steered to the prefill pool, swapped-out
-        #: decode-phase resumes to the decode pool, and the rebalance hook
-        #: runs over the decode pool.  Requires a sharded block manager.
+        #: Disaggregated pool split (``None`` = colocated): the first
+        #: ``prefill_devices`` devices of a sharded block manager prefill, the
+        #: rest decode.  Only the scheduler steers its ``admit_devices``.
         self.prefill_pool: tuple[int, ...] | None = None
         self.decode_pool: tuple[int, ...] | None = None
+        if prefill_devices:
+            self.prefill_pool = tuple(range(prefill_devices))
+            self.decode_pool = tuple(range(prefill_devices, len(block_manager.pools)))
+            block_manager.admit_devices = self.prefill_pool
         self._enqueue_counter = 0
         #: Current expert-placement epoch, stamped onto sequences at
         #: admission.  The engine's overlap mode bumps it at every dynamic
@@ -824,36 +844,66 @@ class ContinuousBatchingScheduler:
         re-prefills every token written so far); ``"swap"`` parks it in host
         memory — the sequence keeps its prefill state, and the engine prices
         the swap-in over :attr:`DeviceSpec.host_bandwidth` on re-admission.
-        Used by the capacity walk and by the engine's disaggregated handoff
-        fallback alike.
+        Used by the capacity walk and by :meth:`handoff`'s fallback alike.
         """
         self.decode.remove(victim)
-        if self.config.preempt_mode == "swap":
-            swapped_blocks = self.block_manager.blocks_held(victim.request.request_id)
-            self.allocation.release(victim)
+        swap = self.config.preempt_mode == "swap"
+        held = self.block_manager.blocks_held(victim.request.request_id) if swap else 0
+        self.allocation.release(victim)
+        if swap:
             swapped = victim.swap_out()
             self.swaps += 1
-            self.swapped_blocks += swapped_blocks
-            self.preemptions += 1
-            victim.requeue()
-            self.running.remove(victim)
-            self.waiting.push(victim)
-            if self.tracer is not None:
-                # After allocation.release: the KV free event precedes the
-                # swap event, mirroring admission's alloc-then-admit order.
-                self.tracer.swap_out(victim, swapped_blocks, swapped)
-            return
-        self.allocation.release(victim)
-        recomputed = victim.preempt()
-        self.recomputed_tokens += recomputed
+            self.swapped_blocks += held
+        else:
+            recomputed = victim.preempt()
+            self.recomputed_tokens += recomputed
         self.preemptions += 1
         victim.requeue()
         self.running.remove(victim)
         self.waiting.push(victim)
         if self.tracer is not None:
             # After allocation.release: the KV free event precedes the
-            # preempt event, mirroring admission's alloc-then-admit order.
-            self.tracer.preempt(victim, recomputed)
+            # preempt/swap event, mirroring admission's alloc-then-admit order.
+            if swap:
+                self.tracer.swap_out(victim, held, swapped)
+            else:
+                self.tracer.preempt(victim, recomputed)
+
+    def handoff(self, seq: Sequence) -> KVMove | None:
+        """Move a sequence whose prefill just completed onto the decode pool.
+
+        The destination is the decode device with the most free blocks that
+        holds the whole table (ties: the first in pool order).  When none
+        fits, the sequence is preempted off its prefill device instead to
+        retry admission later, and ``None`` is returned.
+        """
+        assert self.decode_pool is not None, "handoff needs a disaggregated pool split"
+        blocks = self.block_manager.blocks_held(seq.request.request_id)
+        free = {d: self.block_manager.free_blocks_on(d) for d in self.decode_pool}
+        dst = max((d for d in free if free[d] >= blocks), key=free.__getitem__, default=None)
+        if dst is None:
+            self.preempt(seq)
+            return None
+        return self._move(seq, dst)
+
+    def rebalance(self) -> KVMove | None:
+        """Make the decode-pool migration :meth:`SchedulingPolicy.select_rebalance`
+        picks, if any (never on a colocated or one-device decode pool)."""
+        decode_pool = self.decode_pool
+        if decode_pool is None or len(decode_pool) < 2:
+            return None
+        move = self.policy.select_rebalance(self.running, self.block_manager, decode_pool)
+        if move is None:
+            return None
+        return self._move(*move)
+
+    def _move(self, seq: Sequence, dst: int) -> KVMove:
+        """Migrate ``seq``'s blocks to ``dst`` and re-home it there (a
+        refused migration raises first, leaving both untouched)."""
+        src = seq.home_device
+        blocks = self.block_manager.migrate(seq.request.request_id, src, dst)
+        self.decode.rehome(seq, dst)
+        return KVMove(seq, src, dst, blocks)
 
     def drain_stranded(self) -> list[Sequence]:
         """Move every still-waiting sequence to the ``stranded`` terminal state.

@@ -34,8 +34,8 @@ Event catalogue (``kind`` field; every event also carries ``t`` or
                (carried explicitly: ``(t0 + s) - t0`` is not IEEE-exact).
 ``handoff``    disaggregated prefill→decode KV handoff: ``blocks`` moved from
                device ``src`` to ``dst`` over ``t0``→``t1``, stall ``s``.
-``migrate``    load-triggered decode-pool rebalance migration; same fields as
-               ``handoff``.
+``migrate``    load-triggered decode-pool rebalance migration; same fields
+               and hook (:meth:`Tracer.transfer`) as ``handoff``.
 ``strand``     request still queued when the run ended (conservative custom
                policies only).
 ``kv``         block-pool movement: ``op`` ∈ ``alloc`` (reservation),
@@ -182,8 +182,9 @@ class Tracer:
             }
         )
 
-    def handoff(
+    def transfer(
         self,
+        kind: str,
         seq: Sequence,
         t0: float,
         t1: float,
@@ -192,32 +193,10 @@ class Tracer:
         blocks: int,
         s: float,
     ) -> None:
+        """A KV move between devices, ``kind`` ``"handoff"`` or ``"migrate"``."""
         self.events.append(
             {
-                "kind": "handoff",
-                "t0": t0,
-                "t1": t1,
-                "req": seq.request.request_id,
-                "src": src,
-                "dst": dst,
-                "blocks": blocks,
-                "s": s,
-            }
-        )
-
-    def migrate(
-        self,
-        seq: Sequence,
-        t0: float,
-        t1: float,
-        src: int,
-        dst: int,
-        blocks: int,
-        s: float,
-    ) -> None:
-        self.events.append(
-            {
-                "kind": "migrate",
+                "kind": kind,
                 "t0": t0,
                 "t1": t1,
                 "req": seq.request.request_id,

@@ -137,6 +137,47 @@ class TestDet002GlobalRandomness:
         result = lint_snippet(tmp_path, source, rel_path="src/repro/util.py")
         assert codes(result) == []
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "svds(a, k=2)",
+            "linalg.eigsh(a, 2, which='LM')",
+            "spla.lobpcg(a)",
+            "spla.eigs(a, k=2, tol=0)",
+        ],
+    )
+    def test_arpack_without_start_vector_flagged(self, tmp_path, call):
+        source = (
+            "from scipy.sparse.linalg import svds\n"
+            "from scipy.sparse import linalg\n"
+            "import scipy.sparse.linalg as spla\n"
+            f"u = {call}\n"
+        )
+        result = lint_snippet(tmp_path, source, rel_path="src/repro/core/fixture.py")
+        assert codes(result) == ["DET002"]
+        assert "start vector" in result.fresh[0].message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "svds(a, k=2, v0=v0)",
+            "svds(a, 2, None, 0, 'LM', v0)",
+            "svds(a, k=2, rng=rng)",
+            "spla.eigsh(a, 2, random_state=rng)",
+            "spla.lobpcg(a, x0)",
+            "spla.lobpcg(a, X=x0)",
+            "svds(a, **options)",
+        ],
+    )
+    def test_arpack_with_start_vector_clean(self, tmp_path, call):
+        source = (
+            "from scipy.sparse.linalg import svds\n"
+            "import scipy.sparse.linalg as spla\n"
+            f"u = {call}\n"
+        )
+        result = lint_snippet(tmp_path, source, rel_path="src/repro/core/fixture.py")
+        assert codes(result) == []
+
 
 # ---------------------------------------------------------------------------
 # DET003 — unordered-set iteration

@@ -66,6 +66,21 @@ class TestTruncatedSVD:
         expected = np.sqrt(np.sum(s[4:] ** 2))
         assert np.linalg.norm(A - U_s @ V_s) == pytest.approx(expected, rel=1e-6)
 
+    def test_sparse_path_ignores_global_random_state(self):
+        """ARPACK must not draw its start vector from numpy's global RNG:
+        the factors are the same bytes whatever that RNG was seeded with."""
+        A = np.random.default_rng(6).normal(size=(300, 520))
+        saved = np.random.get_state()
+        products = []
+        try:
+            for seed in (0, 1):
+                np.random.seed(seed)
+                U, V = truncated_svd_factors(A, 8)  # triggers ARPACK path
+                products.append((U @ V).tobytes())
+        finally:
+            np.random.set_state(saved)
+        assert products[0] == products[1]
+
 
 class TestCompensatorMemory:
     def test_zero_rank_is_free(self):

@@ -292,7 +292,7 @@ class ReferenceEngine(ReferenceCosts, ServingEngine):
         overlap_mode = self._overlap
         disagg = self._disagg
         swap_mode = scheduler.config.preempt_mode == "swap"
-        rebalance_pool = disagg and len(self._decode_pool) > 1
+        rebalance_pool = disagg and len(scheduler.decode_pool) > 1
         drift = self._drift if overlap_mode else None
         last_ckey = None
         block_manager = self.block_manager
@@ -476,7 +476,7 @@ class ReferenceEngine(ReferenceCosts, ServingEngine):
                         blocks = block_manager.blocks_held(req_id)
                         dst = -1
                         best_free = -1
-                        for d in self._decode_pool:
+                        for d in scheduler.decode_pool:
                             free = block_manager.free_blocks_on(d)
                             if free >= blocks and free > best_free:
                                 best_free = free
@@ -498,8 +498,8 @@ class ReferenceEngine(ReferenceCosts, ServingEngine):
                         handoff_blocks += blocks
                         handoff_s += stall
                         if tracer is not None:
-                            tracer.handoff(
-                                seq, transfer_t0, clock, src, dst, blocks, stall
+                            tracer.transfer(
+                                "handoff", seq, transfer_t0, clock, src, dst, blocks, stall
                             )
                             tracer.now = clock
             elif tracer is None:
@@ -525,7 +525,7 @@ class ReferenceEngine(ReferenceCosts, ServingEngine):
                     # decode pool's load may have skewed — let the policy
                     # move (at most) one decode sequence per boundary.
                     move = scheduler.policy.select_rebalance(
-                        running, block_manager, self._decode_pool
+                        running, block_manager, scheduler.decode_pool
                     )
                     if move is not None:
                         mover, dst = move
@@ -541,8 +541,8 @@ class ReferenceEngine(ReferenceCosts, ServingEngine):
                         rebalanced_blocks += blocks
                         rebalance_s += stall
                         if tracer is not None:
-                            tracer.migrate(
-                                mover, transfer_t0, clock, src, dst, blocks, stall
+                            tracer.transfer(
+                                "migrate", mover, transfer_t0, clock, src, dst, blocks, stall
                             )
                             tracer.now = clock
 

@@ -14,7 +14,9 @@ from repro.serving import (
     EngineConfig,
     FrequencyPlacement,
     Request,
+    RequestState,
     SchedulerConfig,
+    SchedulingPolicy,
     ServingEngine,
     ShardedBlockManager,
     expert_weight_fraction,
@@ -288,6 +290,116 @@ class TestPlacementAwarePreemption:
         assert seqs[3].home_device == seqs[1].home_device == 1
         manager.check_invariants()
         assert sched.preemptions == 2
+
+
+class TestSchedulerKVMoves:
+    """``handoff`` and ``rebalance``: the scheduler picks where KV lands and
+    moves it; the returned :class:`KVMove` is what the engine prices."""
+
+    @staticmethod
+    def disagg_scheduler(pool_sizes, policy=None):
+        """Device 0 is the prefill pool, the rest the decode pool; 8-token
+        blocks, reservation policy."""
+        manager = sharded(pool_sizes)
+        sched = ContinuousBatchingScheduler(
+            manager, SchedulerConfig(max_batch_size=8), policy=policy, prefill_devices=1
+        )
+        return manager, sched
+
+    @staticmethod
+    def prefilled(sched, new_tokens):
+        """Admit one 8-token-prompt request per entry (2 blocks each) onto
+        the prefill pool and run the iteration that completes their prefill."""
+        for i, n in enumerate(new_tokens):
+            sched.add_request(
+                Request(request_id=i, arrival_time=0.0, prompt_tokens=8, max_new_tokens=n)
+            )
+        assert len(sched.admit(now=0.0)) == len(new_tokens)
+        started = []
+        sched.decode.step(1, 1.0, None, started=started)
+        assert all(seq.home_device == 0 for seq in started)
+        return started
+
+    def test_scheduler_holds_the_pool_split(self):
+        manager, sched = self.disagg_scheduler([4, 4, 4])
+        assert (sched.prefill_pool, sched.decode_pool) == ((0,), (1, 2))
+        assert manager.admit_devices == (0,)
+
+    def test_handoff_picks_the_most_free_decode_device_that_fits(self):
+        manager, sched = self.disagg_scheduler([4, 2, 3])
+        a, b = self.prefilled(sched, [8, 8])
+        move = sched.handoff(a)
+        assert move == (a, 0, 2, 2)  # device 2 has 3 free, device 1 only 2
+        assert manager.home_device(0) == a.home_device == 2
+        # Device 2 now has 1 free block < 2: only device 1 fits.
+        assert sched.handoff(b) == (b, 0, 1, 2)
+        assert sched.decode.home == [0, 1, 1]
+        assert manager.free_blocks_on(0) == 4
+        manager.check_invariants()
+
+    def test_handoff_ties_go_to_the_first_decode_device(self):
+        manager, sched = self.disagg_scheduler([4, 2, 2])
+        a, b = self.prefilled(sched, [8, 8])
+        assert sched.handoff(a).dst == 1
+        assert sched.handoff(b).dst == 2
+
+    def test_handoff_preempts_when_no_decode_device_fits(self):
+        manager, sched = self.disagg_scheduler([4, 2])
+        a, b = self.prefilled(sched, [8, 8])
+        assert sched.handoff(a).dst == 1
+        assert sched.handoff(b) is None  # device 1 is full
+        assert b.state is RequestState.QUEUED and b.preemptions == 1
+        assert sched.preemptions == 1
+        assert list(sched.waiting) == [b] and sched.running == [a]
+        assert manager.blocks_held(1) == 0  # its prefill KV was freed
+        assert sched.decode.home == [0, 1]
+        manager.check_invariants()
+
+    def test_refused_handoff_migration_leaves_both_tables_intact(self, monkeypatch):
+        manager, sched = self.disagg_scheduler([4, 2, 2])
+        a, b = self.prefilled(sched, [8, 8])
+        sched.handoff(a)
+        table = manager.block_table(1)
+        # A stale free count steers the handoff to the full device 1; its
+        # pool refuses to adopt the table.
+        monkeypatch.setattr(manager, "free_blocks_on", lambda d: 99)
+        with pytest.raises(KVCacheExhausted):
+            sched.handoff(b)
+        monkeypatch.undo()
+        assert manager.home_device(1) == b.home_device == 0
+        assert manager.block_table(1) == table
+        assert manager.pools[1].sequences() == (0,)
+        assert sched.decode.home == [1, 1, 0]
+        manager.check_invariants()
+
+    def test_rebalance_never_moves_on_a_one_device_decode_pool(self):
+        calls = []
+
+        class EagerRebalance(SchedulingPolicy):
+            def select_rebalance(self, running, pool, decode_pool):
+                calls.append(decode_pool)
+                return running[0], decode_pool[0]
+
+        _, sched = self.disagg_scheduler([4, 4], policy=EagerRebalance())
+        (a,) = self.prefilled(sched, [8])
+        sched.handoff(a)
+        assert sched.rebalance() is None
+        assert calls == []
+
+    def test_rebalance_waits_for_a_gap_of_twice_the_moved_blocks(self):
+        manager, sched = self.disagg_scheduler([6, 4, 8])
+        a, b, c = self.prefilled(sched, [2, 8, 8])
+        assert [sched.handoff(s).dst for s in (a, b, c)] == [2, 2, 1]
+        # Device 1 (2 free) is the most loaded, device 2 (4 free) the least:
+        # moving c's 2 blocks needs device 2 at least 2 + 2*2 free.
+        assert sched.rebalance() is None
+        assert sched.decode.step(2, 2.0, None)  # a finishes: device 2 has 6 free
+        sched.evict_finished()
+        move = sched.rebalance()
+        assert move == (c, 1, 2, 2)
+        assert manager.home_device(2) == c.home_device == 2
+        assert sched.decode.home == [0, 0, 2]
+        manager.check_invariants()
 
 
 def cluster_config(**kwargs):

@@ -269,3 +269,30 @@ def test_one_pricing_per_loop_turn(config, monkeypatch):
     assert report.iterations > 2 * calls["load"]  # stretches span many iterations
     if config:
         assert report.overlap["replacements"]  # stalls and re-pricing happened
+
+
+def test_drift_observation_that_moves_nothing_keeps_the_stretch(monkeypatch):
+    """Observing a new batch composition cuts the stretch only when it
+    re-places experts: a threshold that never fires prices the run as often
+    as no drift tracking at all, and reports the same bytes."""
+    calls = [0]
+    cost = CostModel.cost
+
+    def counted_cost(self, *args):
+        calls[0] += 1
+        return cost(self, *args)
+
+    monkeypatch.setattr(CostModel, "cost", counted_cost)
+    counts, reports = [], []
+    for threshold in (None, 0.999999):
+        calls[0] = 0
+        reports.append(
+            run_report(
+                WORKLOADS["decode_heavy"], dict(devices=4, overlap=True),
+                replacement_threshold=threshold,
+            )
+        )
+        counts.append(calls[0])
+    assert json.loads(reports[1])["overlap"]["replacements"] == 0
+    assert reports[0] == reports[1]
+    assert counts[0] == counts[1]

@@ -296,8 +296,8 @@ class TestRandomDisaggRuns:
         # is preempted and retried, and the retry's prefill-completion
         # token may be its last — so per-request final homes are not the
         # invariant; per-move directions are.)
-        prefill_pool = set(engine._prefill_pool)
-        decode_pool = set(engine._decode_pool)
+        prefill_pool = set(range(engine.config.prefill_devices))
+        decode_pool = set(range(engine.config.prefill_devices, engine.config.devices))
         admitted_once: set[int] = set()
         for event in tracer.events:
             if event["kind"] == "handoff":

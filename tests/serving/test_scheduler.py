@@ -168,3 +168,20 @@ class TestConfigValidation:
     def test_bad_max_batch(self):
         with pytest.raises(ValueError):
             SchedulerConfig(max_batch_size=0)
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            dict(max_batch_size=0),
+            dict(admission="drop"),
+            dict(prefill_chunk=0),
+            dict(preempt_mode="evict"),
+        ],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_engine_config_rejects_bad_scheduler_knobs_with_the_same_message(self, knob):
+        with pytest.raises(ValueError) as scheduler_error:
+            SchedulerConfig(**knob)
+        with pytest.raises(ValueError) as engine_error:
+            EngineConfig(**knob)
+        assert str(engine_error.value) == str(scheduler_error.value)
