@@ -133,6 +133,10 @@ class KernelSimulator:
     #: computed once per kernel instance.  Safe because simulator parameters
     #: are fixed after construction.
     _cost_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: Memoized :meth:`_tiling` results keyed by ``(k, n)``: the split-K
+    #: factor and the wave penalty do not depend on the batch, so every
+    #: :meth:`gemm_cost` miss on a known weight shape reuses them.
+    _tiling_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- pieces ----------------------------------------------------------------
     def supports_batch(self, m: int) -> bool:
@@ -169,16 +173,24 @@ class KernelSimulator:
         else:
             rate = self.device.cuda_core_flops * 0.5
         base = shape.flops / rate
-        return base * self._wave_quantization_penalty(shape)
+        return base * self._tiling(shape)[1]
 
-    def _wave_quantization_penalty(self, shape: GemmShape) -> float:
-        """Extra factor from partially-filled waves of thread blocks."""
-        tile = self.tile_for(shape)
-        splits = global_reduction_splits(shape.k, shape.n, tile, num_sms=self.device.num_sms)
-        blocks = max(1, -(-shape.n // tile.tile_n)) * splits
-        waves = max(1, -(-blocks // self.device.num_sms))
-        full_blocks = waves * self.device.num_sms
-        return 1.0 + 0.15 * (full_blocks - blocks) / full_blocks
+    def _tiling(self, shape: GemmShape) -> tuple[int, float]:
+        """Split-K factor and wave-quantization penalty of ``shape``'s
+        weight, memoized per ``(k, n)``."""
+        key = (shape.k, shape.n)
+        tiling = self._tiling_cache.get(key)
+        if tiling is None:
+            tile = self.tile_for(shape)
+            num_sms = self.device.num_sms
+            splits = global_reduction_splits(shape.k, shape.n, tile, num_sms=num_sms)
+            # Extra factor from partially-filled waves of thread blocks.
+            blocks = max(1, -(-shape.n // tile.tile_n)) * splits
+            waves = max(1, -(-blocks // num_sms))
+            full_blocks = waves * num_sms
+            penalty = 1.0 + 0.15 * (full_blocks - blocks) / full_blocks
+            tiling = self._tiling_cache[key] = (splits, penalty)
+        return tiling
 
     def _dequant_time(self, shape: GemmShape) -> float:
         if self.dequant_ops_per_element <= 0:
@@ -189,8 +201,7 @@ class KernelSimulator:
         return ops / (0.5 * self.device.cuda_core_flops)
 
     def _sync_time(self, shape: GemmShape) -> float:
-        tile = self.tile_for(shape)
-        splits = global_reduction_splits(shape.k, shape.n, tile, num_sms=self.device.num_sms)
+        splits = self._tiling(shape)[0]
         if splits <= 1:
             return 0.0
         # Each extra split writes and re-reads FP32 partial sums and pays one

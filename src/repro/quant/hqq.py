@@ -61,7 +61,7 @@ def shrink_lp(x: np.ndarray, beta: float, p: float) -> np.ndarray:
         raise ValueError("beta must be positive")
     x = np.asarray(x, dtype=np.float64)
     absx = np.abs(x)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         threshold = np.where(absx > 0, absx ** (p - 1.0), np.inf) / beta
     return np.sign(x) * np.maximum(absx - threshold, 0.0)
 

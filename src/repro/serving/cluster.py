@@ -80,10 +80,6 @@ class DeviceGroup:
         """Stable per-device names (``gpu0`` … ``gpuN-1``)."""
         return tuple(f"gpu{i}" for i in range(len(self.devices)))
 
-    @property
-    def total_memory_gb(self) -> float:
-        return sum(d.memory_gb for d in self.devices)
-
 
 class ExpertPlacement(abc.ABC):
     """Maps each routed expert (same layout every layer) to a device.
@@ -248,10 +244,6 @@ class LayeredExpertPlacement:
         #: the layer's *true* frequencies (not the profile the assignment was
         #: packed for) — the engine splits every layer's token load by this.
         self.layer_mass: tuple[tuple[float, ...], ...] = tuple(masses)
-
-    def layer_load_imbalance(self, layer: int) -> float:
-        """Max device mass of one layer over the perfectly-even mass."""
-        return max(self.layer_mass[layer]) * self.num_devices
 
     def repack_drifted(
         self,

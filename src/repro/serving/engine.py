@@ -990,13 +990,22 @@ class ServingEngine:
 
         A stretch is one iteration while a sequence prefills or right after
         a dynamic re-placement moved experts.  Otherwise the batch is
-        frozen up to the next finish (the stretch's last iteration) or KV
-        block boundary, and the stretch ends there or at the first
-        iteration that reaches the next arrival, repeating the exact float
-        additions of stepping it one iteration at a time (bit-identical
-        clock).  With telemetry, every iteration of the stretch emits its
-        ``iter`` event and due metrics sample, which read only state that
-        is constant across it.
+        frozen up to the next finish (the stretch's last iteration), and
+        the stretch ends there or at the first iteration that reaches the
+        next arrival, repeating the exact float additions of stepping it
+        one iteration at a time (bit-identical clock).  A KV block boundary
+        does not end it: after the iteration that reaches one, the
+        scheduler grants the crossings in bulk
+        (:meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.grant_boundaries`,
+        the first step of the next turn's ``ensure_capacity``), and only a
+        declined grant (copy-on-write or preemption due) ends the stretch
+        so the next turn walks it.  Nothing else a turn start does can act
+        there: no arrival is due, nothing finished and admission would
+        retry nothing; occupancy only rises, so the KV peaks sampled after
+        the stretch are its maxima.  With telemetry, every iteration of the
+        stretch emits its ``iter`` event and due metrics sample, which read
+        only state that is constant across it, and a grant's ``kv`` events
+        follow them at that iteration's clock.
         """
         num_devices = len(self.device_group)
         totals = RunTotals([0] * num_devices)
@@ -1106,43 +1115,53 @@ class ServingEngine:
                 # after this one); a prefill chunk changes every iteration.
                 span = 1
             else:
-                # Pure decode up to the next finish (inside the stretch) or
-                # KV block boundary `b` (the last iteration before the
-                # capacity walk visits it).  A stale heap top only shortens
-                # the stretch.  A boundary already due (a swap-resumed
-                # admission can arm one) still leaves one iteration; the
-                # next turn's walk visits it.
+                # Pure decode up to the next finish, the stretch's last
+                # iteration (a stale heap top only shortens it).
                 span = finish_heap[0][0] - iterations
-                if boundary_heap and boundary_heap[0][0] - iterations < span:
-                    span = boundary_heap[0][0] - iterations
-                if span < 1:
-                    span = 1
             # The first iteration always runs (a swap-in stall may have
             # carried the clock past the next arrival), later ones only while
-            # the clock is short of it.
+            # the clock is short of it.  After an iteration that brings the
+            # boundary heap due, the scheduler grants the crossings in bulk
+            # (what the next turn's ensure_capacity would do first) or
+            # declines, which ends the stretch.
             step = cost.step
+            done = 0
             if tracer is None and metrics is None:
-                # Conservative unchecked prefix: after k additions the
-                # accumulated rounding error is far below one step, so
-                # ``(next_at - clock)/step - 2`` iterations provably keep
-                # ``clock < next_at`` throughout — run them without the
-                # per-iteration comparison, then finish checked.
-                done = span
-                if next_at is not inf and step > 0.0:
-                    safe = int((next_at - clock) / step) - 2
-                    if safe < done:
-                        done = safe if safe > 1 else 1
-                for _ in range(done):
-                    clock += step
+                while True:
+                    # Advance to the stretch's end or its next boundary; a
+                    # boundary already due (a swap-resumed admission can arm
+                    # one) is granted after one iteration.
+                    stop = span
+                    if boundary_heap and boundary_heap[0][0] - iterations < stop:
+                        stop = boundary_heap[0][0] - iterations
+                        if stop <= done:
+                            stop = done + 1
+                    # Conservative unchecked prefix: after k additions the
+                    # accumulated rounding error is far below one step, so
+                    # ``(next_at - clock)/step - 2`` iterations provably keep
+                    # ``clock < next_at`` throughout — run them without the
+                    # per-iteration comparison, then finish checked.
+                    n = stop - done
+                    if next_at is not inf and step > 0.0:
+                        safe = int((next_at - clock) / step) - 2
+                        if safe < n:
+                            n = safe if safe > 1 else 1
+                    for _ in range(n):
+                        clock += step
+                    done += n
+                    while done < stop and next_at > clock:
+                        clock += step
+                        done += 1
+                    if done == span or next_at <= clock:
+                        break
+                    tracker.iteration = iterations + done
+                    if not scheduler.grant_boundaries():
+                        break
                 clock += stall  # stalls come only with one-iteration stretches
-                while done < span and next_at > clock:
-                    clock += step
-                    done += 1
             else:
                 # Telemetry variant: the identical clock adds, plus each
                 # iteration's iter event and metrics due check.
                 batch = len(running)
-                done = 0
                 while True:
                     iter_t0 = clock  # float addition is not invertible
                     clock = clock + step + stall
@@ -1158,6 +1177,12 @@ class ServingEngine:
                         )
                     if done == span or next_at <= clock:
                         break
+                    if boundary_heap and boundary_heap[0][0] <= iterations + done:
+                        tracker.iteration = iterations + done
+                        if tracer is not None:
+                            tracer.now = clock  # the grant's kv events carry it
+                        if not scheduler.grant_boundaries():
+                            break
                 if tracer is not None:
                     tracer.now = clock  # finish/KV-free events below carry it
             if multi:

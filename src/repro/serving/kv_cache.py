@@ -817,10 +817,16 @@ class OnDemandPolicy(AllocationPolicy):
         The plan gives each sequence what :meth:`blocks_deficit` would: no
         blocks mid-prefill chunk, ``blocks_needed(prompt + generated + 1) -
         held`` private blocks when the write starts a fresh block, else a
-        zero deficit.  It gives up (``False``, nothing changed) when a write
-        needs a copy-on-write block, or when some device's summed growth
-        exceeds its free blocks — exactly the iterations at which the
-        per-sequence walk would copy or preempt.  Otherwise the growth is
+        zero deficit.  A decoding sequence crossing a block boundary is
+        planned without reading its table: every visit records the extent
+        as ``held * block_size`` (admission and release reset it to 0, and a
+        migration keeps the table's length), so a write at a nonzero extent
+        needs exactly one fresh private block (the scheduler's
+        ``debug_checks`` audit that identity).  It gives up (``False``,
+        nothing changed) when a write needs a copy-on-write block, or when
+        some device's summed growth exceeds its free blocks — exactly the
+        iterations at which the per-sequence walk would copy or preempt.
+        Otherwise the growth is
         granted with one :meth:`BlockManager.grow_many` call (one free-list
         take per device, block ids in ``due`` order, as successive
         :meth:`grow` calls would assign them), each zero-deficit visit gets
@@ -834,13 +840,21 @@ class OnDemandPolicy(AllocationPolicy):
         in_place: list[tuple[Sequence, int, int]] = []
         need: dict[int, int] = {}
         for seq in due:
-            if not seq.emits_token_this_iteration(prefill_chunk):
+            request = seq.request
+            seq_id = request.request_id
+            write_pos = request.prompt_tokens + seq.generated_tokens
+            extent = seq.kv_writable_extent
+            if extent and write_pos == extent:
+                # A block crossing: only a decoding sequence has an extent,
+                # and it ends the table, so the write starts one fresh block.
+                held = extent // block_size
+                growth = 1
+            elif not seq.emits_token_this_iteration(prefill_chunk):
                 continue
-            seq_id = seq.request.request_id
-            write_pos = seq.request.prompt_tokens + seq.generated_tokens
-            held = pool.blocks_held(seq_id)
-            # blocks_needed(write_pos + 1) - held
-            growth = write_pos // block_size + 1 - held
+            else:
+                held = pool.blocks_held(seq_id)
+                # blocks_needed(write_pos + 1) - held
+                growth = write_pos // block_size + 1 - held
             if growth > 0:
                 grants.append((seq_id, growth))
                 grown.append((seq, (held + growth) * block_size))

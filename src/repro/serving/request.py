@@ -177,10 +177,6 @@ class Sequence:
         return self._generated + tracker.iteration
 
     @property
-    def is_prefill(self) -> bool:
-        return self.state is RequestState.RUNNING and not self.prefill_done
-
-    @property
     def is_finished(self) -> bool:
         return self.state is RequestState.FINISHED
 

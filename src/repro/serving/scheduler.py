@@ -323,7 +323,10 @@ class DecodeTracker:
       tiebreak, sequence)`` entries.  Entries are invalidated lazily: one
       is live only while the sequence is tracked and its
       ``finish_iteration`` / ``boundary_iteration`` still equals it, so a
-      stale top only makes the next event look earlier than it is.
+      stale top only makes the next event look earlier than it is.  A
+      finish ends the engine's stretch; a due boundary is granted inside
+      it (:meth:`ContinuousBatchingScheduler.grant_boundaries`) and ends it
+      only when the grant is declined.
 
     Every membership change goes through the tracker: admission (the
     scheduler appends to :attr:`walked`, or calls :meth:`start` for a
@@ -419,8 +422,10 @@ class DecodeTracker:
     def due(self) -> list[Sequence]:
         """Pop the tracked sequences whose block boundary is due now.
 
-        Each comes back disarmed; the capacity walk re-arms it after its
-        visit (:meth:`arm`).
+        Each comes back disarmed (``boundary_iteration`` cleared, so an
+        entry left behind by a later re-arm can never pop it twice); the
+        scheduler re-arms it after its grant or capacity-walk visit
+        (:meth:`arm`).  The only reader of :attr:`boundary_heap` that pops.
         """
         heap = self.boundary_heap
         iteration = self.iteration
@@ -727,10 +732,12 @@ class ContinuousBatchingScheduler:
         sequence is due about once in 16 iterations).  The due sequences
         are served in precedence order, in two steps:
 
-        1. *Plan, then bulk grant.*  The allocation policy plans every due
-           sequence's deficit and, when no write needs a copy-on-write
-           block and every device's summed growth fits its free blocks,
-           grants all of it with one free-list take per device
+        1. *Bulk grant* (:meth:`_grant`, which the engine also reaches
+           inside a stretch through :meth:`grant_boundaries`).  The
+           allocation policy plans every due sequence's deficit and, when
+           no write needs a copy-on-write block and every device's summed
+           growth fits its free blocks, grants all of it with one free-list
+           take per device
            (:meth:`~repro.serving.kv_cache.AllocationPolicy.grow_due`).
            Block ids, tables and trace events are those of step 2, which
            would preempt nothing on such an iteration.
@@ -761,16 +768,47 @@ class ContinuousBatchingScheduler:
         due = self._capacity_due()
         if not due:
             return []
-        chunk = self.config.prefill_chunk
-        ordered = sorted(due, key=self.policy.queue_key)
         preempted: list[Sequence] = []
-        if not self.allocation.grow_due(ordered, chunk):
-            preempted = self._walk_capacity(ordered)
+        if not self._grant(due):
+            preempted = self._walk_capacity(sorted(due, key=self.policy.queue_key))
+        self._arm(due)  # the visits may have recorded new extents
+        return preempted
+
+    def grant_boundaries(self) -> bool:
+        """Grant the KV block boundaries due inside a pure-decode stretch.
+
+        The engine calls this between two iterations of a stretch whenever
+        the tracker's boundary heap has come due, instead of ending the
+        stretch there.  It is :meth:`ensure_capacity` at a turn start with
+        nothing prefilling: the same audits, then the same bulk grant.
+        Returns ``False`` when the grant would need a copy-on-write block or
+        a preemption: the due sequences are re-armed untouched, the stretch
+        ends, and the next turn's :meth:`ensure_capacity` walks them.
+        """
+        if self.debug_checks:
+            self._audit_writable_extents()
+            self.decode.audit(self.running)
+        due = self.decode.due()
+        granted = self._grant(due)
+        self._arm(due)
+        if granted and self.debug_checks:
+            self.audit_skipped_admit()  # admission is skipped here as well
+        return granted
+
+    def _grant(self, due: list[Sequence]) -> bool:
+        """The bulk grant: offer ``due`` in precedence order to the
+        allocation policy's
+        :meth:`~repro.serving.kv_cache.AllocationPolicy.grow_due`."""
+        return self.allocation.grow_due(
+            sorted(due, key=self.policy.queue_key), self.config.prefill_chunk
+        )
+
+    def _arm(self, due: list[Sequence]) -> None:
+        """Re-arm the boundary visit of every still-decoding sequence in ``due``."""
         tracker = self.decode
         for seq in due:
             if seq.decode_tracker is tracker:
-                tracker.arm(seq)  # the visit may have recorded a new extent
-        return preempted
+                tracker.arm(seq)
 
     def _walk_capacity(self, ordered: list[Sequence]) -> list[Sequence]:
         """Visit due sequences one by one, preempting to cover deficits."""
@@ -824,16 +862,29 @@ class ContinuousBatchingScheduler:
         return due
 
     def _audit_writable_extents(self) -> None:
-        """Raise unless every sequence the capacity walk skips may write in place."""
+        """Raise unless every sequence the capacity walk skips may write in
+        place, and every recorded extent ends its sequence's table.
+
+        The second check is what lets ``grow_due`` grant a decoding
+        sequence's block crossing (write position at a nonzero extent) one
+        fresh block without reading its table.
+        """
+        block_manager = self.block_manager
+        block_size = block_manager.block_size
         for seq in self.running:
+            seq_id = seq.request.request_id
             write_pos = seq.request.prompt_tokens + seq.generated_tokens
-            if write_pos < seq.kv_writable_extent and not self.block_manager.writable_in_place(
-                seq.request.request_id, write_pos
-            ):
+            extent = seq.kv_writable_extent
+            if write_pos < extent and not block_manager.writable_in_place(seq_id, write_pos):
                 raise KVCacheExhausted(
-                    f"sequence {seq.request.request_id} skipped at token {write_pos} "
-                    f"(writable extent {seq.kv_writable_extent}) but its write block "
+                    f"sequence {seq_id} skipped at token {write_pos} "
+                    f"(writable extent {extent}) but its write block "
                     f"is missing, shared or prefix-registered"
+                )
+            if extent and extent != block_manager.blocks_held(seq_id) * block_size:
+                raise KVCacheExhausted(
+                    f"sequence {seq_id} records writable extent {extent} but holds "
+                    f"{block_manager.blocks_held(seq_id)} blocks of {block_size} tokens"
                 )
 
     def preempt(self, victim: Sequence) -> None:

@@ -165,3 +165,59 @@ class TestAblationSwitches:
 
         assert slowdown(DEEPSEEK) > slowdown(REFERENCE_FFN_SHAPES["falcon-180b"])
         assert slowdown(DEEPSEEK) > 1.05
+
+
+#: Every simulator configuration a backend builds: the Fig. 9 line-up on
+#: either checkpoint plus the Fig. 10 ablations.
+SIMULATOR_FACTORIES = {
+    **{
+        f"{name}{', asymmetric model' if asym else ''}": (
+            lambda name=name, asym=asym: default_backends(asym)[name]
+        )
+        for name in default_backends()
+        for asym in (False, True)
+    },
+    "milo-no-async": lambda: MiLoKernelSim(symmetric=False, async_load=False),
+    "milo-no-dequant": lambda: MiLoKernelSim(symmetric=False, milo_dequant=False),
+    "milo-no-tiles": lambda: MiLoKernelSim(symmetric=False, tile_tuning=False),
+    "fp16": FP16KernelSim,
+}
+
+#: Table 7 cells (seconds) of the modeled Mixtral-8x7B step, exactly as the
+#: un-memoized simulators computed them.
+TABLE7_CELLS = {
+    ("GPTQ3bit Backend", 1): 0.008731252285682443,
+    ("MARLIN Backend", 1): 0.011877830168614227,
+    ("MARLIN Backend", 16): 0.031202310494863147,
+    ("MARLIN Backend", 32): 0.031731942554833636,
+    ("MiLo Backend", 1): 0.009612293389579352,
+    ("MiLo Backend", 16): 0.02669366464735152,
+    ("MiLo Backend", 32): 0.025350349138759665,
+}
+
+
+class TestTilingMemo:
+    """The per-``(k, n)`` tiling memo never changes a cost."""
+
+    @pytest.mark.parametrize("factory", SIMULATOR_FACTORIES.values(), ids=SIMULATOR_FACTORIES)
+    def test_warm_instance_matches_fresh_instances(self, factory):
+        weights = [
+            (k, n) for shapes in REFERENCE_FFN_SHAPES.values() for k, n in shapes.values()
+        ] + [(64, 144), (4096, 64), (11008, 2048), (1, 1)]
+        warm = factory()
+        for m in (1, 2, 7, 16, 32, 100, 512):
+            for k, n in weights:
+                shape = GemmShape(m, k, n)
+                if not warm.supports_batch(m):
+                    continue
+                assert warm.gemm_cost(shape) == factory().gemm_cost(shape), shape
+        assert len(warm._tiling_cache) == len(set(weights))
+
+    def test_table7_cells_unchanged(self):
+        from repro.models import FULL_MODEL_SPECS
+        from repro.runtime import default_backend_lineup
+
+        spec = FULL_MODEL_SPECS["mixtral-8x7b"]
+        lineup = default_backend_lineup("mixtral-8x7b")
+        for (name, batch), cell in TABLE7_CELLS.items():
+            assert lineup[name].step_latency(spec, batch).total == cell

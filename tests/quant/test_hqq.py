@@ -1,5 +1,7 @@
 """Tests for the half-quadratic (HQQ) quantizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,22 @@ class TestShrinkLp:
             shrink_lp(np.ones(3), beta=1.0, p=1.5)
         with pytest.raises(ValueError):
             shrink_lp(np.ones(3), beta=-1.0, p=0.5)
+
+    @pytest.mark.parametrize(
+        "magnitude, beta",
+        [(5e-324, 1e-3), (1e-300, 1e-9)],
+        ids=["power_overflows", "division_overflows"],
+    )
+    def test_dead_zone_overflow_is_silent(self, magnitude, beta):
+        # |x|^(p-1) / beta overflows to inf for magnitudes deep inside the
+        # dead zone; inf is the intended threshold, so no warning may escape.
+        p = 0.001
+        assert magnitude < _dead_zone(beta, p)
+        x = np.array([magnitude, -magnitude, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = shrink_lp(x, beta=beta, p=p)
+        assert np.all(out == 0)
 
     @given(st.floats(0.1, 0.9), st.floats(0.5, 100.0))
     @settings(max_examples=40, deadline=None)

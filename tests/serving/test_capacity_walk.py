@@ -15,7 +15,8 @@ growth in bulk, one free-list take per device, whenever no copy-on-write or
 preemption is due; the reference visits every sequence on its own
 (``engine_reference.PerSequenceCapacityWalk``), so the bulk grant is checked
 against an independent per-sequence walk.  ``TestBulkGrant`` pins the global
-order of the bulk grant's trace events and its take count.
+order of the bulk grant's trace events and its take count, at a loop
+turn's start and inside a stretch.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ class FullWalkScheduler(PerSequenceCapacityWalk, ContinuousBatchingScheduler):
 
     def _capacity_due(self):
         return list(self.running)
+
+    def grant_boundaries(self):
+        # Decline every grant inside a stretch, so each boundary ends the
+        # stretch and the next turn's walk visits every sequence.
+        return False
 
 
 class FullWalkEngine(ServingEngine):
@@ -253,6 +259,28 @@ class TestWritableExtent:
         scheduler.ensure_capacity()  # unaudited: the sequence is skipped
         assert scheduler.block_manager.prefix_hits(0, 5, share_partial=True) == 2
 
+    def test_debug_checks_catch_an_extent_off_the_table_end(self):
+        # A crossing at a nonzero extent is granted one fresh block without
+        # reading the table; the audit checks that the extent ends it.
+        scheduler = on_demand_scheduler()
+        pool = scheduler.block_manager
+        seq = scheduler.add_request(Request(0, 0.0, prompt_tokens=5, max_new_tokens=8))
+        scheduler.admit(0.0)
+        scheduler.ensure_capacity()  # extent 8: the end of the 2-block table
+        seq.advance(0.0)  # prefill emits a token; decode writes from token 6
+        tracker = scheduler.decode
+        tracker.walked.remove(seq)
+        tracker.start(seq)
+        tracker.iteration = 2  # the write reaches the extent: a crossing
+        pool.grow(0, 1)  # the table grows behind the policy's back
+        with pytest.raises(KVCacheExhausted, match="extent 8 but holds 3 blocks"):
+            scheduler.grant_boundaries()
+        with pytest.raises(KVCacheExhausted, match="extent 8 but holds 3 blocks"):
+            scheduler.ensure_capacity()
+        scheduler.debug_checks = False
+        assert scheduler.grant_boundaries()  # unaudited, the extent is trusted
+        assert pool.blocks_held(0) == 4 and seq.kv_writable_extent == 12
+
 
 class TestBlockManagerQueries:
     def test_writable_in_place(self):
@@ -298,16 +326,21 @@ class TestBlockManagerQueries:
 
 
 def spy_growth(engine):
-    """Count the growth work of every ``ensure_capacity`` call of a run.
+    """Count the growth work of every bulk grant and capacity walk of a run.
 
     ``bulk`` counts the block manager's ``grow_many`` calls, ``grants`` the
     sequences they grew, ``bulk_takes`` the free-list takes those calls made
     and ``spread`` the calls that took blocks on more than one device;
     ``visits`` and ``grows`` count the per-sequence walk's
-    ``blocks_deficit`` and ``grow`` calls.  Every ``ensure_capacity`` call
-    that ran no walk must take at most once per device.
+    ``blocks_deficit`` and ``grow`` calls, and ``in_stretch`` the
+    scheduler's ``grant_boundaries`` calls inside a stretch.  Every bulk
+    grant — at a loop turn's start (``ensure_capacity``) or inside a
+    stretch (``grant_boundaries``), both through the scheduler's ``_grant``
+    — must take at most once per device.
     """
-    counts = dict(bulk=0, grants=0, bulk_takes=0, spread=0, visits=0, grows=0)
+    counts = dict(
+        bulk=0, grants=0, bulk_takes=0, spread=0, visits=0, grows=0, in_stretch=0
+    )
     manager = engine.block_manager
     pools = getattr(manager, "pools", [manager])
     takes = [0] * len(pools)
@@ -343,19 +376,18 @@ def spy_growth(engine):
         allocation = scheduler.allocation
         allocation.blocks_deficit = counted("visits", allocation.blocks_deficit)
         allocation.grow = counted("grows", allocation.grow)
-        ensure_capacity = scheduler.ensure_capacity
+        scheduler.grant_boundaries = counted("in_stretch", scheduler.grant_boundaries)
+        grant = scheduler._grant
 
-        def spied_ensure_capacity():
+        def spied_grant(due):
             takes[:] = [0] * len(takes)
-            visits = counts["visits"]
-            preempted = ensure_capacity()
-            if counts["visits"] == visits:
-                assert max(takes) <= 1, takes  # one bulk take per device
-                counts["bulk_takes"] += sum(takes)
-                counts["spread"] += sum(takes) > 1
-            return preempted
+            granted = grant(due)
+            assert max(takes) <= 1, takes  # one bulk take per device
+            counts["bulk_takes"] += sum(takes)
+            counts["spread"] += sum(takes) > 1
+            return granted
 
-        scheduler.ensure_capacity = spied_ensure_capacity
+        scheduler._grant = spied_grant
         return scheduler
 
     engine.make_scheduler = spied_scheduler
@@ -382,6 +414,8 @@ class TestBulkGrant:
         reference, _ = run(ReferenceEngine)
         assert counts["bulk"] == 3 and counts["grants"] == 18
         assert counts["spread"] == 3 and counts["visits"] == counts["grows"] == 0
+        # Every crossing falls inside the one decode stretch.
+        assert counts["in_stretch"] == 3
         assert tracer.to_jsonl() == reference.to_jsonl()
         grows = [e for e in tracer.events if e["kind"] == "kv" and e["op"] == "grow"]
         assert len(grows) == 18
@@ -410,7 +444,9 @@ class TestBulkGrant:
         assert report.completed == 60 and report.iterations == 875
         # Every boundary iteration of this run is granted in bulk (no walk):
         # 1794 growths in 642 iterations take the free lists 1137 times,
-        # never more than once per device in one iteration.
+        # never more than once per device in one iteration.  562 boundary
+        # iterations are granted inside a stretch instead of ending it.
         assert counts["visits"] == counts["grows"] == 0
         assert counts["bulk"] == 642 and counts["grants"] == 1794
         assert counts["bulk_takes"] == 1137 and counts["spread"] == 361
+        assert counts["in_stretch"] == 562

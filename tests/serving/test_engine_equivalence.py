@@ -271,6 +271,57 @@ def test_one_pricing_per_loop_turn(config, monkeypatch):
         assert report.overlap["replacements"]  # stalls and re-pricing happened
 
 
+#: On-demand runs whose stretches cross many KV block boundaries: a
+#: disaggregated 1:3 split, and four overlap devices with swap preemption
+#: under KV pressure (grants declined inside a stretch, then walked).
+BOUNDARY_RUNS = {
+    "disagg_1to3": (
+        dict(num_requests=60, qps=5.0, seed=7, mean_prompt_tokens=1024, mean_new_tokens=512),
+        dict(
+            devices=4, prefill_devices=1, decode_devices=3, kv_policy="ondemand",
+            reserve_gb=17.0, max_batch_size=256,
+        ),
+    ),
+    "overlap_swap_4dev": (
+        dict(
+            num_requests=80, qps=20.0, seed=7, mean_prompt_tokens=128,
+            mean_new_tokens=512, shared_prefix_tokens=512, prefix_groups=8,
+        ),
+        dict(
+            devices=4, placement="frequency", overlap=True, replacement_threshold=0.1,
+            kv_policy="ondemand", preempt_mode="swap", reserve_gb=34.5,
+            max_batch_size=512,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "run, turns, iterations",
+    [("disagg_1to3", 123, 875), ("overlap_swap_4dev", 420, 8040)],
+)
+def test_block_boundaries_do_not_end_loop_turns(run, turns, iterations, monkeypatch):
+    """A KV block boundary is granted inside the stretch that reaches it, so
+    the loop turns (one ``CostModel.cost`` call each) are set by prefills,
+    finishes, arrivals, re-placements and declined grants alone.  Ending a
+    turn at every boundary took 685 and 2495 turns on these runs."""
+    calls = [0]
+    cost = CostModel.cost
+
+    def counted_cost(self, *args):
+        calls[0] += 1
+        return cost(self, *args)
+
+    monkeypatch.setattr(CostModel, "cost", counted_cost)
+    workload, config = BOUNDARY_RUNS[run]
+    report = json.loads(run_report(workload, config))
+    assert (calls[0], report["iterations"]) == (turns, iterations)
+    if "preempt_mode" in config:
+        assert report["migration"]["swaps"]  # KV pressure: some grants declined
+    monkeypatch.undo()
+    assert json.dumps(report, sort_keys=True) == run_report(workload, config, ReferenceEngine)
+
+
 def test_drift_observation_that_moves_nothing_keeps_the_stretch(monkeypatch):
     """Observing a new batch composition cuts the stretch only when it
     re-places experts: a threshold that never fires prices the run as often

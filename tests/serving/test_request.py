@@ -52,7 +52,7 @@ class TestSequenceLifecycle:
     def test_prefill_iteration_emits_first_token(self):
         seq = Sequence(request=make_request(arrival_time=1.0))
         seq.admit(now=2.0)
-        assert seq.is_prefill
+        assert not seq.prefill_done
         assert seq.tokens_this_iteration() == 8  # whole prompt in one iteration
         seq.advance(now=2.5)
         assert seq.prefill_done
