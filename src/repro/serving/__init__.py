@@ -123,6 +123,7 @@ from .cluster import (
     expert_migration_seconds,
     make_expert_placement,
     split_tokens,
+    split_tokens_rows,
 )
 from .engine import (
     EngineConfig,
@@ -194,6 +195,7 @@ __all__ = [
     "PLACEMENT_POLICIES",
     "make_expert_placement",
     "split_tokens",
+    "split_tokens_rows",
     "ShardedBlockManager",
     "expert_migration_seconds",
     "overlap_step_seconds",

@@ -37,6 +37,9 @@ import abc
 from dataclasses import dataclass
 from typing import Sequence as SequenceType
 
+import numpy as np
+import numpy.typing as npt
+
 from ..kernels.device import DeviceSpec
 from .kv_cache import BlockManager, KVCacheExhausted
 
@@ -51,6 +54,7 @@ __all__ = [
     "make_expert_placement",
     "expert_migration_seconds",
     "split_tokens",
+    "split_tokens_rows",
     "ShardedBlockManager",
 ]
 
@@ -385,6 +389,34 @@ def split_tokens(total: int, shares: SequenceType[float]) -> list[int]:
     order = sorted(range(len(shares)), key=lambda d: (floors[d] - quotas[d], d))
     for d in order[:remainder]:
         floors[d] += 1
+    return floors
+
+
+def split_tokens_rows(total: int, mass: npt.NDArray[np.float64]) -> npt.NDArray[np.int64]:
+    """:func:`split_tokens` of ``total`` over every row of a ``rows x devices``
+    share matrix, in whole-array passes.
+
+    Row ``r`` equals ``split_tokens(total, mass[r])`` exactly: ``total *
+    mass`` is the same IEEE product per entry, truncation equals ``int()``
+    on the non-negative quotas, the floors' integer row sums are exact in
+    any order, and a stable argsort of ``floor - quota`` ranks each row's
+    devices as the scalar sort does, ties to the lowest index.
+    """
+    if total < 0:
+        raise ValueError("total must be non-negative")
+    quotas = total * mass
+    floors = quotas.astype(np.int64)
+    devices = mass.shape[1]
+    remainder = total - floors.sum(axis=1)
+    # The scalar form bumps ``order[:remainder]``; a negative remainder
+    # (floors overshooting on shares that sum past 1.0) slices from the end.
+    bumped = np.where(remainder < 0, remainder + devices, remainder)
+    # The inverse permutation of a row's order is each device's rank in it.
+    rank = np.argsort(floors - quotas, axis=1, kind="stable").argsort(axis=1)
+    floors += rank < bumped[:, None]
+    if devices == 1:
+        # The scalar single-device shortcut, exact past 2**53 too.
+        floors[mass[:, 0] == 1.0, 0] = total
     return floors
 
 

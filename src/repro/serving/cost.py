@@ -11,6 +11,14 @@ expert's.  One device has every token at home, so its step is exactly the
 backend's Table 7 step latency.  The engine prices each loop turn once,
 and the stretch of iterations it advances, the report totals and the
 tracer all read that one memoized :class:`IterationCost` record.
+
+The layered model splits a token count over all layers at once: one
+row-wise largest-remainder pass (:func:`~repro.serving.cluster.split_tokens_rows`)
+over the ``layers x devices`` mass matrix, one gather of per-load latencies,
+then per-layer and per-device reductions.  Every float sum among those runs
+sequentially in index order — over devices within a layer, over layers per
+device — so the arrays reproduce the scalar per-layer, per-device loop bit
+for bit (``tests/serving/cost_reference.py`` keeps that loop).
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
-from .cluster import ExpertPlacement, LayeredExpertPlacement, split_tokens
+from .cluster import ExpertPlacement, LayeredExpertPlacement, split_tokens, split_tokens_rows
 
 if TYPE_CHECKING:
     from ..models.registry import FullModelSpec
@@ -34,11 +43,14 @@ MEMO_LIMIT = 262144
 
 #: Home-independent half of one layered iteration, memoized per
 #: ``(tokens, placement_epoch)``: each layer's per-device token loads (an
-#: int32 ``layers x devices`` array), each layer's critical-path compute (a
-#: float64 array), the summed max and loaded-mean computes, and the
-#: per-device compute sums.  Arrays keep the memo small: a few hundred
-#: distinct token counts occur per thousand requests.
-LayerSplit = tuple[np.ndarray, np.ndarray, float, float, tuple[float, ...]]
+#: int64 ``layers x devices`` array from one row-wise split), each layer's
+#: critical-path compute (a float64 array), the summed max and loaded-mean
+#: computes, and the per-device compute sums.  Those sums add in layer order
+#: and each layer's loaded-device sum in device order, never pairwise.  A few
+#: hundred distinct token counts occur per thousand requests.
+LayerSplit = tuple[
+    npt.NDArray[np.int64], npt.NDArray[np.float64], float, float, tuple[float, ...]
+]
 
 
 def overlap_step_seconds(
@@ -102,7 +114,7 @@ class CostModel:
 
     __slots__ = (
         "backend", "spec", "pools", "layers", "epoch", "efficiency",
-        "_alltoall_s", "_layer_rows", "_latency", "_memo", "_splits",
+        "_alltoall_s", "_layer_rows", "_latency", "_mass", "_memo", "_splits",
     )
 
     def __init__(
@@ -127,6 +139,11 @@ class CostModel:
         self.layers: LayeredExpertPlacement | None = (
             LayeredExpertPlacement(self.pools[0], layer_rows) if layer_rows is not None else None
         )
+        #: ``layers x devices`` array of :attr:`layers`' mass, which the
+        #: layered split reads; refreshed whenever the layers change.
+        self._mass: npt.NDArray[np.float64] | None = (
+            np.array(self.layers.layer_mass) if self.layers is not None else None
+        )
         #: Bumped at every dynamic re-placement: a re-packed layer changes
         #: every layered cost, so epochs must not share memo entries.
         self.epoch = 0
@@ -147,6 +164,7 @@ class CostModel:
         if self.epoch > 0:
             assert self._layer_rows is not None  # only the layered model re-places
             self.layers = LayeredExpertPlacement(self.pools[0], self._layer_rows)
+            self._mass = np.array(self.layers.layer_mass)
             self.epoch = 0
             self._memo.clear()
             self._splits.clear()
@@ -160,6 +178,7 @@ class CostModel:
         assert self.layers is not None, "re-placement needs the layered model"
         moved = self.layers.repack_drifted(measured, threshold)
         if moved:
+            self._mass = np.array(self.layers.layer_mass)
             self.epoch += 1
         return moved
 
@@ -239,10 +258,10 @@ class CostModel:
         loads, computes, max_compute, mean_compute, per_device = self.layer_split(tokens)
         experts_per_token = self.spec.experts_per_token
         # remote[l, d] = load * experts_per_token * (tokens - home_d) is
-        # exact (the int32 loads widen to int64), and each quotient by
-        # ``tokens`` is the correctly rounded double Python's int division
-        # gives (both operands stay below 2**53), so every comm term is
-        # bit-identical to a scalar per-device loop.
+        # exact in int64, and each quotient by ``tokens`` is the correctly
+        # rounded double Python's int division gives (both operands stay
+        # below 2**53), so every comm term is bit-identical to a scalar
+        # per-device loop.
         remote = loads * np.array(
             [experts_per_token * (tokens - home) for home in home_key], dtype=np.int64
         )
@@ -271,38 +290,28 @@ class CostModel:
         entry = self._splits.get(key)
         if entry is not None:
             return entry
-        assert self.layers is not None
-        num_layers = self.spec.num_layers
+        assert self._mass is not None
+        loads = split_tokens_rows(tokens, self._mass)
+        # One latency per load (an inline memo hit; :meth:`latency` fills a
+        # miss), gathered in row-major order; an idle device computes 0.0.
         latency = self._latency
-        layer_loads: list[list[int]] = []
-        computes: list[float] = []
-        max_compute = 0.0
-        mean_compute = 0.0
-        per_device = [0.0] * self.layers.num_devices
-        for mass in self.layers.layer_mass:
-            layer_max = 0.0
-            layer_sum = 0.0
-            layer_loaded = 0
-            loads = split_tokens(tokens, mass)
-            for d, load in enumerate(loads):
-                if load:
-                    # Inline memo hit: this loop runs layers x devices times.
-                    whole = latency.get(load)
-                    if whole is None:
-                        whole = self.latency(load)
-                    compute = whole / num_layers
-                    layer_sum += compute
-                    layer_loaded += 1
-                    if compute > layer_max:
-                        layer_max = compute
-                    per_device[d] += compute
-            layer_loads.append(loads)
-            computes.append(layer_max)
-            max_compute += layer_max
-            mean_compute += layer_sum / layer_loaded if layer_loaded else 0.0
+        wholes = [
+            (latency.get(load) or self.latency(load)) if load else 0.0
+            for load in loads.ravel().tolist()
+        ]
+        compute = np.array(wholes).reshape(loads.shape) / self.spec.num_layers
+        layer_max = compute.max(axis=1)
+        # Float sums run in index order, device by device and layer by layer
+        # (``ndarray.sum`` adds 8+ elements pairwise, which rounds
+        # differently); an idle device's 0.0 leaves a sum unchanged.
+        layer_sum = np.add.accumulate(compute, axis=1)[:, -1]
+        # A layer without load has sum 0.0, so dividing it by 1 gives the 0.0
+        # mean the loaded-device average defaults to.
+        layer_mean = layer_sum / np.maximum(np.count_nonzero(loads, axis=1), 1)
         entry = (
-            np.array(layer_loads, dtype=np.int32), np.array(computes),
-            max_compute, mean_compute, tuple(per_device),
+            loads, layer_max,
+            float(np.add.accumulate(layer_max)[-1]), float(np.add.accumulate(layer_mean)[-1]),
+            tuple(np.add.accumulate(compute, axis=0)[-1].tolist()),
         )
         if len(self._splits) >= MEMO_LIMIT:
             self._splits.clear()

@@ -205,23 +205,21 @@ class SchedulingPolicy:
         least_loaded = max(decode_pool, key=lambda d: (free[d], -d))
         if most_loaded == least_loaded:
             return None
-        candidates = [
-            seq
-            for seq in running
-            if seq.state is RequestState.RUNNING
-            and seq.prefill_done
-            and seq.home_device == most_loaded
-        ]
-        if not candidates:
+        # One pass keeps the first candidate with the least (held, index).
+        mover: Sequence | None = None
+        best = (0, 0)
+        for seq in running:
+            if (
+                seq.home_device == most_loaded
+                and seq.prefill_done
+                and seq.state is RequestState.RUNNING
+            ):
+                key = (pool.blocks_held(seq.request.request_id), seq.enqueue_index)
+                if mover is None or key < best:
+                    mover, best = seq, key
+        if mover is None:
             return None
-        mover = min(
-            candidates,
-            key=lambda seq: (
-                pool.blocks_held(seq.request.request_id),
-                seq.enqueue_index,
-            ),
-        )
-        held = pool.blocks_held(mover.request.request_id)
+        held = best[0]
         if held == 0 or free[least_loaded] < free[most_loaded] + 2 * held:
             return None
         return mover, least_loaded

@@ -1,5 +1,6 @@
 """Multi-GPU serving: device groups, expert placement, sharded KV pools."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.expert_frequency import fig3_reference_frequencies
@@ -24,6 +25,7 @@ from repro.serving import (
     make_expert_placement,
     poisson_workload,
     split_tokens,
+    split_tokens_rows,
 )
 from repro.serving.kv_cache import KVCacheExhausted
 
@@ -123,6 +125,61 @@ class TestSplitTokens:
         assert split_tokens(3, (0.5, 0.5)) == [2, 1]
         with pytest.raises(ValueError):
             split_tokens(-1, (1.0,))
+
+
+class TestSplitTokensRows:
+    """The row-wise split must equal :func:`split_tokens` row by row."""
+
+    @staticmethod
+    def assert_rowwise(total, mass):
+        mass = np.asarray(mass, dtype=np.float64)
+        loads = split_tokens_rows(total, mass)
+        assert loads.dtype == np.int64 and loads.shape == mass.shape
+        assert loads.tolist() == [split_tokens(total, row) for row in mass.tolist()]
+
+    def test_random_masses(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            layers, devices = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+            mass = rng.random((layers, devices)) ** float(rng.uniform(0.5, 4.0))
+            if devices > 1 and rng.random() < 0.4:
+                # Zero-mass columns: devices that host no expert.
+                mass[:, rng.choice(devices, int(rng.integers(1, devices)), replace=False)] = 0.0
+            mass /= mass.sum(axis=1, keepdims=True)
+            for total in (0, 1, int(rng.integers(2, 64)), int(rng.integers(64, 2**20 + 1))):
+                self.assert_rowwise(total, mass)
+
+    def test_exact_ties_go_to_the_lowest_index(self):
+        for total in (0, 1, 2, 3, 5, 7, 1023, 2**20 + 1):
+            self.assert_rowwise(total, [(0.25,) * 4, (0.5, 0.5, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5)])
+            self.assert_rowwise(total, [(0.5, 0.5)])
+            self.assert_rowwise(total, [(1 / 40,) * 40, (0.05,) * 20 + (0.0,) * 20])
+        # Two interleaved tie groups: an unstable sort reorders within them.
+        for total in range(1, 200):
+            self.assert_rowwise(total, [(1 / 12, 2 / 12) * 4])
+            self.assert_rowwise(total, [(0.1, 0.3, 0.1) * 2])
+        assert split_tokens_rows(3, np.array([(0.5, 0.5)])).tolist() == [[2, 1]]
+        assert split_tokens_rows(2, np.array([(0.25,) * 4])).tolist() == [[1, 1, 0, 0]]
+
+    def test_one_device_rows(self):
+        for total in (0, 1, 97, 2**20, 2**53 + 1):
+            self.assert_rowwise(total, [(1.0,), (1.0,)])
+        # A lone share short of 1.0 takes the general path, as the scalar does.
+        for total in (0, 1, 10, 2**20):
+            self.assert_rowwise(total, [(0.5,), (1.0,), (0.999,)])
+
+    def test_shares_summing_past_one(self):
+        # The floors overshoot the total, a negative remainder, which the
+        # scalar form's ``order[:remainder]`` slices from the end.
+        for total in (1, 5, 10, 101):
+            self.assert_rowwise(total, [(0.6, 0.6), (0.5, 0.55)])
+            self.assert_rowwise(total, [(0.7, 0.7, 0.7), (1.0, 1.0, 0.0)])
+
+    def test_negative_total_raises(self):
+        with pytest.raises(ValueError):
+            split_tokens_rows(-1, np.array([(1.0,)]))
+        with pytest.raises(ValueError):
+            split_tokens_rows(-1, np.array([(0.5, 0.5)]))
 
 
 def sharded(pool_sizes, block_size=8):

@@ -1,12 +1,14 @@
 """``CostModel`` against the per-mode cost functions it replaced.
 
 Seeded draws over every cluster layout — one device, 2-4 colocated devices,
-the layered overlap model before and after a forced ``repack_drifted``, and
+the layered overlap model at 2, 4, 8 and 9 devices (9 leaves one device
+without experts) before and after a forced ``repack_drifted``, and
 disaggregated 1:2 / 1:3 pools — price random ``(tokens, home split)`` pairs,
 including splits that leave devices (or a whole pool) without load.  Every
 :class:`~repro.serving.cost.IterationCost` field must equal the reference
 tuple of ``cost_reference`` exactly, and ``per_device`` must equal the
-reference telemetry split.
+reference telemetry split.  After the re-placement, ``reset()`` must price
+the pairs as a fresh engine does.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ LAYOUTS = (
     dict(devices=4),
     dict(devices=2, overlap=True),
     dict(devices=4, overlap=True, placement="frequency"),
+    # 8+ devices: sums over a layer's devices must stay sequential.
+    dict(devices=8, overlap=True, placement="frequency"),
+    dict(devices=9, overlap=True, placement="frequency"),
     dict(devices=3, prefill_devices=1, decode_devices=2),
     dict(devices=4, prefill_devices=1, decode_devices=3),
 )
@@ -108,6 +113,14 @@ def check_draw(seed):
         assert engine.cost_model.epoch == 1
         for tokens, home_key in pairs:
             assert_matches_reference(engine, tokens, home_key)
+        # Undoing the re-placement restores the pristine layers: prices
+        # must equal a fresh engine's, not the re-packed layers'.
+        engine.cost_model.reset()
+        fresh = ServingEngine(MiLoBackend(device=device), "mixtral-8x7b", EngineConfig(**layout))
+        for tokens, home_key in pairs:
+            assert engine.cost_model.cost(tokens, home_key) == fresh.cost_model.cost(
+                tokens, home_key
+            )
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
