@@ -675,10 +675,14 @@ class ShardedBlockManager:
         checked on its home pool before any pool gives up a block, and the
         blocks and ``grow`` trace events go out in the global order of
         ``grants`` — what :meth:`grow` called on each pair in turn does.
+        Each pair's home and table are looked up once, by the checks.
         """
         home = self._home
         pools = self.pools
+        tables = [pool._tables for pool in pools]
         totals = [0] * len(pools)
+        devices: list[int] = []
+        targets: list[list[int]] = []
         for seq_id, num_blocks in grants:
             device = home.get(seq_id)
             if device is None:
@@ -686,15 +690,23 @@ class ShardedBlockManager:
             if num_blocks <= 0:
                 raise ValueError("num_blocks must be positive")
             totals[device] += num_blocks
+            devices.append(device)
+            targets.append(tables[device][seq_id])
         for pool, total in zip(pools, totals):
             pool._check_growth(total)
         taken = [pool._take_free_blocks(total) for pool, total in zip(pools, totals)]
         ends = [0] * len(pools)
-        for seq_id, num_blocks in grants:
-            device = home[seq_id]
+        for (seq_id, num_blocks), device, table in zip(grants, devices, targets):
             start = ends[device]
             end = ends[device] = start + num_blocks
-            pools[device]._append(seq_id, taken[device][start:end], totals[device] - end)
+            table.extend(taken[device][start:end])
+            pool = pools[device]
+            if pool.tracer is not None:
+                # The free count that grow() on this pair would have left.
+                pool.tracer.kv(
+                    "grow", seq_id, num_blocks, pool.device_index,
+                    len(pool._free) + totals[device] - end,
+                )
 
     def cow_cost(self, seq_id: int, token_index: int) -> int:
         return self._home_pool(seq_id).cow_cost(seq_id, token_index)

@@ -1132,8 +1132,8 @@ class ServingEngine:
                     # boundary already due (a swap-resumed admission can arm
                     # one) is granted after one iteration.
                     stop = span
-                    if boundary_heap and boundary_heap[0][0] - iterations < stop:
-                        stop = boundary_heap[0][0] - iterations
+                    if boundary_heap and boundary_heap[0] - iterations < stop:
+                        stop = boundary_heap[0] - iterations
                         if stop <= done:
                             stop = done + 1
                     # Conservative unchecked prefix: after k additions the
@@ -1177,7 +1177,7 @@ class ServingEngine:
                         )
                     if done == span or next_at <= clock:
                         break
-                    if boundary_heap and boundary_heap[0][0] <= iterations + done:
+                    if boundary_heap and boundary_heap[0] <= iterations + done:
                         tracker.iteration = iterations + done
                         if tracer is not None:
                             tracer.now = clock  # the grant's kv events carry it

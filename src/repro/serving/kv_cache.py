@@ -62,6 +62,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "KVCacheExhausted",
+    "KVOverdraw",
     "BlockManager",
     "AllocationPolicy",
     "ReservationPolicy",
@@ -82,6 +83,16 @@ class KVCacheExhausted(RuntimeError):
     correctly-behaving engine this never propagates to callers; it exists to
     make scheduler violations loud in tests rather than silently corrupting
     the accounting.
+    """
+
+
+class KVOverdraw(KVCacheExhausted):
+    """Raised when growth asks for more blocks than are free.
+
+    Unlike the other :class:`KVCacheExhausted` cases (an unknown or
+    duplicate sequence, a broken pool invariant), an over-draw is a normal
+    outcome of a bulk grant: the pool is left as it was, and the caller may
+    decline the grant and fall back to preemption.
     """
 
 
@@ -497,7 +508,7 @@ class BlockManager:
         if num_blocks <= 0:
             raise ValueError("num_blocks must be positive")
         if num_blocks > self.free_blocks:
-            raise KVCacheExhausted(
+            raise KVOverdraw(
                 f"need {num_blocks} more blocks for sequence {seq_id} but only "
                 f"{self.free_blocks}/{self._num_blocks} are free"
             )
@@ -518,44 +529,41 @@ class BlockManager:
         so one take of the summed count hands out the same ids in the same
         order.  Every check :meth:`grow` makes runs on every pair before any
         block is taken, so a bad pair or an over-draw leaves the pool as it
-        was.  One take is one :attr:`rises` bump.
+        was.  One take is one :attr:`rises` bump.  Each pair's table is
+        looked up once, by the checks.
         """
         tables = self._tables
+        targets: list[list[int]] = []
         total = 0
         for seq_id, num_blocks in grants:
-            if seq_id not in tables:
+            table = tables.get(seq_id)
+            if table is None:
                 raise KVCacheExhausted(f"sequence {seq_id} holds no blocks to grow")
             if num_blocks <= 0:
                 raise ValueError("num_blocks must be positive")
+            targets.append(table)
             total += num_blocks
         self._check_growth(total)
         taken = self._take_free_blocks(total)
+        tracer = self.tracer
         end = 0
-        for seq_id, num_blocks in grants:
+        for table, (seq_id, num_blocks) in zip(targets, grants):
             start = end
             end += num_blocks
-            self._append(seq_id, taken[start:end], total - end)
+            table.extend(taken[start:end])
+            if tracer is not None:
+                # The free count that grow() on this pair would have left.
+                tracer.kv(
+                    "grow", seq_id, num_blocks, self.device_index,
+                    len(self._free) + total - end,
+                )
 
     def _check_growth(self, total: int) -> None:
-        """Raise unless ``total`` blocks can be taken for growth."""
+        """Raise :class:`KVOverdraw` unless ``total`` blocks are free."""
         if total > len(self._free):
-            raise KVCacheExhausted(
+            raise KVOverdraw(
                 f"need {total} more blocks but only "
                 f"{len(self._free)}/{self._num_blocks} are free"
-            )
-
-    def _append(self, seq_id: int, block_ids: list[int], untaken: int) -> None:
-        """Extend a checked table by blocks already taken off the free list.
-
-        ``untaken`` counts the blocks of the same bulk take that belong to
-        later grants: the equivalent :meth:`grow` call would have left them
-        free, and its trace event carries that free count.
-        """
-        self._tables[seq_id].extend(block_ids)
-        if self.tracer is not None:
-            self.tracer.kv(
-                "grow", seq_id, len(block_ids), self.device_index,
-                len(self._free) + untaken,
             )
 
     def free(self, seq_id: int) -> int:
@@ -821,54 +829,56 @@ class OnDemandPolicy(AllocationPolicy):
         planned without reading its table: every visit records the extent
         as ``held * block_size`` (admission and release reset it to 0, and a
         migration keeps the table's length), so a write at a nonzero extent
-        needs exactly one fresh private block (the scheduler's
-        ``debug_checks`` audit that identity).  It gives up (``False``,
-        nothing changed) when a write needs a copy-on-write block, or when
-        some device's summed growth exceeds its free blocks — exactly the
-        iterations at which the per-sequence walk would copy or preempt.
-        Otherwise the growth is
-        granted with one :meth:`BlockManager.grow_many` call (one free-list
-        take per device, block ids in ``due`` order, as successive
-        :meth:`grow` calls would assign them), each zero-deficit visit gets
+        needs exactly one fresh private block and moves the extent to
+        ``extent + block_size`` (the scheduler's ``debug_checks`` audit that
+        identity).  It gives up (``False``, nothing changed) when a write
+        needs a copy-on-write block, or when some device's summed growth
+        exceeds its free blocks (:meth:`BlockManager.grow_many` raises
+        :class:`KVOverdraw` before any block moves; every other error of the
+        grant propagates) — exactly the iterations at which
+        the per-sequence walk would copy or preempt.  Otherwise the growth
+        is granted with that one ``grow_many`` call (one free-list take per
+        device, block ids in ``due`` order, as successive :meth:`grow` calls
+        would assign them), each zero-deficit visit gets
         :meth:`blocks_deficit`'s prefix un-registration, and every visited
         sequence records its writable extent.
         """
         pool = self.pool
         block_size = pool.block_size
         grants: list[tuple[int, int]] = []
+        crossed: list[Sequence] = []
         grown: list[tuple[Sequence, int]] = []
         in_place: list[tuple[Sequence, int, int]] = []
-        need: dict[int, int] = {}
         for seq in due:
             request = seq.request
-            seq_id = request.request_id
             write_pos = request.prompt_tokens + seq.generated_tokens
             extent = seq.kv_writable_extent
             if extent and write_pos == extent:
                 # A block crossing: only a decoding sequence has an extent,
                 # and it ends the table, so the write starts one fresh block.
-                held = extent // block_size
-                growth = 1
-            elif not seq.emits_token_this_iteration(prefill_chunk):
+                grants.append((request.request_id, 1))
+                crossed.append(seq)
                 continue
-            else:
-                held = pool.blocks_held(seq_id)
-                # blocks_needed(write_pos + 1) - held
-                growth = write_pos // block_size + 1 - held
+            if not seq.emits_token_this_iteration(prefill_chunk):
+                continue
+            seq_id = request.request_id
+            held = pool.blocks_held(seq_id)
+            # blocks_needed(write_pos + 1) - held
+            growth = write_pos // block_size + 1 - held
             if growth > 0:
                 grants.append((seq_id, growth))
                 grown.append((seq, (held + growth) * block_size))
-                home = seq.home_device
-                need[home] = need.get(home, 0) + growth
             elif pool.cow_cost(seq_id, write_pos):
                 return False
             else:
                 in_place.append((seq, write_pos, held * block_size))
-        for device, blocks in need.items():
-            if blocks > pool.free_blocks_on(device):
-                return False
         if grants:
-            pool.grow_many(grants)
+            try:
+                pool.grow_many(grants)
+            except KVOverdraw:
+                return False  # a device's summed growth exceeds its free blocks
+            for seq in crossed:
+                seq.kv_writable_extent += block_size
             for seq, extent in grown:
                 seq.kv_writable_extent = extent
         for seq, write_pos, extent in in_place:

@@ -95,9 +95,13 @@ class Request:
         return self.prompt_tokens + self.max_new_tokens
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Sequence:
-    """Engine-side state of one request."""
+    """Engine-side state of one request.
+
+    Compared by identity (``eq=False``): a sequence is one live, mutable
+    object per request, so two of them are never equal by value.
+    """
 
     request: Request
     state: RequestState = RequestState.QUEUED
@@ -139,7 +143,7 @@ class Sequence:
     #: deriving this sequence's decode progress from its iteration counter,
     #: from the iteration the sequence enters decode until it finishes or is
     #: preempted (``None`` otherwise — then :meth:`advance` counts tokens).
-    decode_tracker: DecodeTracker | None = field(default=None, repr=False, compare=False)
+    decode_tracker: DecodeTracker | None = field(default=None, repr=False)
     #: Scheduler-internal: iteration count at which the tracked decode
     #: completes (``None`` while the sequence is not decode-tracked).
     finish_iteration: int | None = None

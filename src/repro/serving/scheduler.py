@@ -52,7 +52,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .kv_cache import AllocationPolicy, BlockManager, KVCacheExhausted, ReservationPolicy
 from .request import Request, RequestState, Sequence
@@ -317,14 +317,20 @@ class DecodeTracker:
       home device (each contributes one token row per iteration);
     * :attr:`walked`, every other running sequence — the prefilling ones
       in the engine — in batch order, advanced one by one;
-    * :attr:`finish_heap` and :attr:`boundary_heap` of ``(iteration,
-      tiebreak, sequence)`` entries.  Entries are invalidated lazily: one
-      is live only while the sequence is tracked and its
-      ``finish_iteration`` / ``boundary_iteration`` still equals it, so a
-      stale top only makes the next event look earlier than it is.  A
-      finish ends the engine's stretch; a due boundary is granted inside
-      it (:meth:`ContinuousBatchingScheduler.grant_boundaries`) and ends it
-      only when the grant is declined.
+    * :attr:`finish_heap`, of ``(iteration, tiebreak, sequence)`` entries;
+    * the block boundaries, bucketed by due iteration: ``_buckets`` maps
+      each iteration to the sequences armed for it, in arm order, and
+      :attr:`boundary_heap` holds each bucket's iteration once (pushed when
+      the bucket is created, popped with it), so its top is the next due
+      boundary and a crossing costs one list append.
+
+    Entries are invalidated lazily: one is live only while the sequence is
+    tracked and its ``finish_iteration`` / ``boundary_iteration`` still
+    equals the entry's iteration, so a stale top only makes the next event
+    look earlier than it is.  A finish ends the engine's stretch; a due
+    boundary is granted inside it
+    (:meth:`ContinuousBatchingScheduler.grant_boundaries`) and ends it only
+    when the grant is declined.
 
     Every membership change goes through the tracker: admission (the
     scheduler appends to :attr:`walked`, or calls :meth:`start` for a
@@ -335,7 +341,7 @@ class DecodeTracker:
 
     __slots__ = (
         "iteration", "count", "home", "walked", "finish_heap",
-        "_boundaries", "boundary_heap", "_pushes",
+        "_boundaries", "_buckets", "boundary_heap",
     )
 
     def __init__(self, num_devices: int = 1, boundaries: bool = True) -> None:
@@ -348,8 +354,8 @@ class DecodeTracker:
         #: Whether block boundaries are armed at all (growing allocation
         #: only: a reserved extent never needs a boundary visit).
         self._boundaries = boundaries
-        self.boundary_heap: list[tuple[int, int, Sequence]] = []
-        self._pushes = 0
+        self._buckets: dict[int, list[Sequence]] = {}
+        self.boundary_heap: list[int] = []
 
     def start(self, seq: Sequence) -> None:
         """Derive ``seq``'s progress from the counter from now on."""
@@ -364,21 +370,31 @@ class DecodeTracker:
         # admission index breaks finish ties without comparing sequences.
         heapq.heappush(self.finish_heap, (finish, seq.admit_index, seq))
         if self._boundaries:
-            self.arm(seq)
+            self.arm((seq,))
 
-    def arm(self, seq: Sequence) -> None:
-        """(Re-)schedule the boundary visit of a tracked sequence.
+    def arm(self, seqs: Iterable[Sequence]) -> None:
+        """(Re-)schedule the boundary visits of the tracked ones of ``seqs``.
 
-        Due at the iteration where ``prompt_tokens + generated_tokens``
-        reaches the recorded writable extent; called when decode starts and
-        after every capacity-walk visit, the only points an allocation
-        policy records a new extent.
+        Each is due at the iteration where ``prompt_tokens +
+        generated_tokens`` reaches its recorded writable extent; called when
+        decode starts and after every capacity-walk visit or grant, the only
+        points an allocation policy records a new extent.  Sequences no
+        longer tracked (preempted or finished meanwhile) are skipped, and
+        the rest join their iteration's bucket in the order given.
         """
-        due = seq.kv_writable_extent - seq.request.prompt_tokens - seq._generated
-        if due != seq.boundary_iteration:
-            seq.boundary_iteration = due
-            heapq.heappush(self.boundary_heap, (due, self._pushes, seq))
-            self._pushes += 1
+        buckets = self._buckets
+        for seq in seqs:
+            if seq.decode_tracker is not self:
+                continue
+            due = seq.kv_writable_extent - seq.request.prompt_tokens - seq._generated
+            if due != seq.boundary_iteration:
+                seq.boundary_iteration = due
+                bucket = buckets.get(due)
+                if bucket is None:
+                    buckets[due] = [seq]
+                    heapq.heappush(self.boundary_heap, due)
+                else:
+                    bucket.append(seq)
 
     def _stop(self, seq: Sequence) -> None:
         seq._generated += self.iteration
@@ -420,19 +436,23 @@ class DecodeTracker:
     def due(self) -> list[Sequence]:
         """Pop the tracked sequences whose block boundary is due now.
 
-        Each comes back disarmed (``boundary_iteration`` cleared, so an
-        entry left behind by a later re-arm can never pop it twice); the
-        scheduler re-arms it after its grant or capacity-walk visit
-        (:meth:`arm`).  The only reader of :attr:`boundary_heap` that pops.
+        Whole buckets are popped, earliest iteration first, each in arm
+        order.  Each sequence comes back disarmed (``boundary_iteration``
+        cleared, so an entry left behind by a later re-arm can never pop it
+        twice); the scheduler re-arms it after its grant or capacity-walk
+        visit (:meth:`arm`).  The only reader of :attr:`boundary_heap` that
+        pops.
         """
         heap = self.boundary_heap
+        buckets = self._buckets
         iteration = self.iteration
         due = []
-        while heap and heap[0][0] <= iteration:
-            at, _, seq = heapq.heappop(heap)
-            if seq.decode_tracker is self and seq.boundary_iteration == at:
-                seq.boundary_iteration = None
-                due.append(seq)
+        while heap and heap[0] <= iteration:
+            at = heapq.heappop(heap)
+            for seq in buckets.pop(at):
+                if seq.decode_tracker is self and seq.boundary_iteration == at:
+                    seq.boundary_iteration = None
+                    due.append(seq)
         return due
 
     def step(
@@ -488,11 +508,23 @@ class DecodeTracker:
         return finished
 
     def audit(self, running: list[Sequence]) -> None:
-        """Raise unless the event state matches a recount from ``running``."""
+        """Raise unless the event state matches a recount from ``running``.
+
+        Besides the counts and the finish schedule, every live boundary must
+        sit in its iteration's bucket, and the boundary heap must hold each
+        bucket's iteration exactly once and nothing else.
+        """
         home = [0] * len(self.home)
         walked = []
         finish = {(at, id(seq)) for at, _, seq in self.finish_heap}
-        boundary = {(at, id(seq)) for at, _, seq in self.boundary_heap}
+        buckets = self._buckets
+        keys = self.boundary_heap
+        if len(keys) != len(set(keys)) or set(keys) != buckets.keys():
+            raise RuntimeError(
+                f"boundary heap {sorted(keys)} does not hold each bucket "
+                f"{sorted(buckets)} exactly once"
+            )
+        boundary = {(at, id(seq)) for at, bucket in buckets.items() for seq in bucket}
         previous = -1
         for seq in running:
             if seq.admit_index <= previous:
@@ -769,7 +801,7 @@ class ContinuousBatchingScheduler:
         preempted: list[Sequence] = []
         if not self._grant(due):
             preempted = self._walk_capacity(sorted(due, key=self.policy.queue_key))
-        self._arm(due)  # the visits may have recorded new extents
+        self.decode.arm(due)  # the visits may have recorded new extents
         return preempted
 
     def grant_boundaries(self) -> bool:
@@ -788,7 +820,7 @@ class ContinuousBatchingScheduler:
             self.decode.audit(self.running)
         due = self.decode.due()
         granted = self._grant(due)
-        self._arm(due)
+        self.decode.arm(due)
         if granted and self.debug_checks:
             self.audit_skipped_admit()  # admission is skipped here as well
         return granted
@@ -800,13 +832,6 @@ class ContinuousBatchingScheduler:
         return self.allocation.grow_due(
             sorted(due, key=self.policy.queue_key), self.config.prefill_chunk
         )
-
-    def _arm(self, due: list[Sequence]) -> None:
-        """Re-arm the boundary visit of every still-decoding sequence in ``due``."""
-        tracker = self.decode
-        for seq in due:
-            if seq.decode_tracker is tracker:
-                tracker.arm(seq)
 
     def _walk_capacity(self, ordered: list[Sequence]) -> list[Sequence]:
         """Visit due sequences one by one, preempting to cover deficits."""

@@ -75,10 +75,7 @@ class PerSequenceCapacityWalk:
                     break
             if deficit > 0:
                 self.allocation.grow(seq, deficit)
-        tracker = self.decode
-        for seq in due:
-            if seq.decode_tracker is tracker:
-                tracker.arm(seq)  # the visit may have recorded a new extent
+        self.decode.arm(due)  # the visits may have recorded new extents
         return preempted
 
 

@@ -41,6 +41,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import ShardedBlockManager
 from repro.serving.kv_cache import KVCacheExhausted
+from repro.serving.request import Sequence
 from repro.serving.telemetry import Tracer
 
 from engine_reference import PerSequenceCapacityWalk, ReferenceEngine
@@ -280,6 +281,24 @@ class TestWritableExtent:
         scheduler.debug_checks = False
         assert scheduler.grant_boundaries()  # unaudited, the extent is trusted
         assert pool.blocks_held(0) == 4 and seq.kv_writable_extent == 12
+
+
+    def test_grow_due_declines_only_an_over_draw(self):
+        # An over-draw declines the grant (the scheduler then walks), but a
+        # crossing whose sequence holds no table is a broken invariant and
+        # must surface at once, on a single pool and on a sharded one.
+        for pool in (
+            BlockManager(num_blocks=2, block_size=4),
+            ShardedBlockManager([BlockManager(2, 4), BlockManager(2, 4)]),
+        ):
+            policy = OnDemandPolicy(pool)
+            seq = Sequence(Request(0, 0.0, prompt_tokens=8, max_new_tokens=4))
+            seq.kv_writable_extent = 8  # a crossing: the write opens block 2
+            with pytest.raises(KVCacheExhausted, match="holds no blocks"):
+                policy.grow_due([seq])
+            pool.allocate(0, 8)  # both blocks of the home pool: no room to grow
+            assert not policy.grow_due([seq])
+            assert pool.blocks_held(0) == 2 and seq.kv_writable_extent == 8
 
 
 class TestBlockManagerQueries:

@@ -11,7 +11,9 @@ the cross-device invariant: a sequence's block table lives in exactly its
 home pool, never references a block outside it, and no other pool knows the
 sequence.  A multi-sequence ``grow_many`` op is checked against successive
 ``grow`` calls on a twin manager (tables, free lists, refcounts,
-``physical_allocs`` and the traced ``kv`` events must match), and a
+``physical_allocs`` and, when a tracer is attached, the traced ``kv``
+events must match — the episodes run both traced and untraced, since the
+bulk take emits its per-grant events only when a tracer is attached), and a
 ``grow_many`` that over-draws or names an unknown sequence must fail
 without touching the manager.
 
@@ -89,8 +91,9 @@ def pool_state(manager):
 def check_bulk_grow(manager, tracer, rng, live, unknown_id):
     """One multi-sequence ``grow_many`` op against successive ``grow`` calls.
 
-    The twin is a deep copy of the manager (its tracer included) taken just
-    before the op.  Returns how the op went: ``"grown"`` on one device,
+    The twin is a deep copy of the manager (its tracer, if any, included)
+    taken just before the op; ``tracer`` is ``None`` on an untraced
+    manager.  Returns how the op went: ``"grown"`` on one device,
     ``"spread"`` over several, or the injected fault — ``"unknown"``
     sequence, ``"zero"`` count or ``"overdraw"`` — which must raise and leave the manager, its rise counter and the trace
     exactly as they were.
@@ -113,14 +116,15 @@ def check_bulk_grow(manager, tracer, rng, live, unknown_id):
         outcome, error = "overdraw", KVCacheExhausted
     else:
         outcome, error = "spread" if len(need) > 1 else "grown", None
-    events = len(tracer.events)
+    events = len(tracer.events) if tracer is not None else 0
     rises = manager.rises
     if error is not None:
         before = copy.deepcopy(pool_state(manager))
         with pytest.raises(error):
             manager.grow_many(grants)
         assert pool_state(manager) == before
-        assert len(tracer.events) == events and manager.rises == rises
+        assert manager.rises == rises
+        assert tracer is None or len(tracer.events) == events
         return outcome
     twin = copy.deepcopy(manager)
     twin_tracer = pools_of(twin)[0].tracer
@@ -129,8 +133,9 @@ def check_bulk_grow(manager, tracer, rng, live, unknown_id):
         twin.grow(seq_id, blocks)
         live[seq_id] += blocks * BLOCK_SIZE
     assert pool_state(manager) == pool_state(twin)
-    assert tracer.events[events:] == twin_tracer.events[events:]
-    assert len(tracer.events) - events == len(grants)
+    if tracer is not None:
+        assert tracer.events[events:] == twin_tracer.events[events:]
+        assert len(tracer.events) - events == len(grants)
     assert manager.rises - rises == len(need)  # one bulk take per device
     return outcome
 
@@ -153,12 +158,12 @@ def assert_cross_device_invariants(manager, live):
                     assert pool.blocks_held(seq_id) == 0
 
 
-def drive_random_ops(layout, seed, steps):
+def drive_random_ops(layout, seed, steps, traced=True):
     """One randomized episode; returns the number of mutating ops applied
     and a count of the ``grow_many`` ops' outcomes."""
     rng = np.random.default_rng(seed)
     manager = build_manager(layout)
-    tracer = attach_tracer(manager)
+    tracer = attach_tracer(manager) if traced else None
     live: dict[int, int] = {}  # seq_id -> tokens covered by its table
     next_id = 0
     applied = 0
@@ -242,6 +247,15 @@ class TestRandomOpSequences:
         applied, bulk = drive_random_ops(layout, seed=seed, steps=1200)
         # The episode must actually exercise the allocator, not no-op out,
         # and the bulk grow must both succeed and fail each way.
+        assert applied > 400
+        assert bulk["grown"] + bulk["spread"] > 15
+        assert bulk["spread"] > 5 or layout == "single"
+        assert bulk["unknown"] and bulk["zero"] and bulk["overdraw"]
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_untraced_bulk_grow_matches_successive_grows(self, layout, seed):
+        applied, bulk = drive_random_ops(layout, seed=seed, steps=1200, traced=False)
         assert applied > 400
         assert bulk["grown"] + bulk["spread"] > 15
         assert bulk["spread"] > 5 or layout == "single"

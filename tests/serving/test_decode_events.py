@@ -213,8 +213,16 @@ def test_derived_generated_tokens_and_events():
         (lambda tracker, seq: setattr(seq, "finish_iteration", 9), RuntimeError, "finishes"),
         (lambda tracker, seq: setattr(seq, "kv_writable_extent", 12),
          KVCacheExhausted, "writable extent"),
+        (lambda tracker, seq: tracker._buckets[seq.boundary_iteration].remove(seq),
+         KVCacheExhausted, "writable extent"),
+        (lambda tracker, seq: tracker.boundary_heap.pop(), RuntimeError, "boundary heap"),
+        (lambda tracker, seq: tracker.boundary_heap.append(tracker.boundary_heap[0]),
+         RuntimeError, "boundary heap"),
+        (lambda tracker, seq: tracker.boundary_heap.append(10**6),
+         RuntimeError, "boundary heap"),
     ],
-    ids=["count", "home", "walked", "finish", "boundary"],
+    ids=["count", "home", "walked", "finish", "boundary", "bucket", "heap_missing",
+         "heap_twice", "heap_orphan"],
 )
 def test_debug_checks_catch_corrupted_event_state(corrupt, error, match):
     scheduler, (seq, _) = decoding_scheduler()

@@ -77,12 +77,12 @@ def assert_cross_device_invariants(manager, live):
                 assert pool.blocks_held(seq_id) == 0
 
 
-def drive_migration_ops(layout, seed, steps):
+def drive_migration_ops(layout, seed, steps, traced=True):
     """One randomized episode; returns the number of migrations applied and
     a count of the ``grow_many`` ops' outcomes."""
     rng = np.random.default_rng(seed)
     manager = build_manager(layout)
-    tracer = attach_tracer(manager)
+    tracer = attach_tracer(manager) if traced else None
     num_devices = len(manager.pools)
     live: dict[int, int] = {}  # seq_id -> tokens covered by its table
     next_id = 0
@@ -169,6 +169,14 @@ class TestRandomMigrationSequences:
         migrations, bulk = drive_migration_ops(layout, seed=seed, steps=1200)
         # The episode must actually move KV around, not no-op out, and
         # bulk grows over migrated tables must succeed and fail each way.
+        assert migrations > 50
+        assert bulk["spread"] > 5
+        assert bulk["unknown"] and bulk["zero"] and bulk["overdraw"]
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_untraced_bulk_grow_over_migrated_tables(self, layout, seed):
+        migrations, bulk = drive_migration_ops(layout, seed=seed, steps=1200, traced=False)
         assert migrations > 50
         assert bulk["spread"] > 5
         assert bulk["unknown"] and bulk["zero"] and bulk["overdraw"]

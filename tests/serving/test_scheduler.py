@@ -11,6 +11,7 @@ from repro.serving import (
     RequestState,
     SchedulerConfig,
 )
+from repro.serving.request import Sequence
 
 
 def make_scheduler(num_blocks=16, block_size=8, max_batch=8, admission="queue"):
@@ -148,6 +149,29 @@ class TestContinuousBatching:
             seq.advance(now=1.0)
         # Now both decode: one token row each.
         assert sched.batch_tokens() == 2
+
+    def test_preempt_removes_its_victim_by_identity(self):
+        """Sequences compare by identity: removing a preemption victim from
+        the batch never builds and compares field tuples, and of two
+        value-identical sequences only the one removed leaves."""
+        assert Sequence.__eq__ is object.__eq__
+        request = req(0, prompt=8, decode=4)
+        first, second = Sequence(request), Sequence(request)
+        assert first != second
+        batch = [first, second]
+        batch.remove(second)
+        assert batch == [first] and batch[0] is first
+
+        sched = make_scheduler(num_blocks=1000, block_size=8, max_batch=500)
+        seqs = [sched.add_request(req(i, prompt=8, decode=4)) for i in range(500)]
+        sched.admit(now=0.0)
+        assert len(sched.running) == 500
+        victim = seqs[499]
+        sched.preempt(victim)
+        assert all(s is not victim for s in sched.running)
+        assert [s.request.request_id for s in sched.running] == list(range(499))
+        assert victim.state is RequestState.QUEUED
+        assert sched.waiting.peek() is victim
 
 
 class TestConfigValidation:
