@@ -490,17 +490,22 @@ class ShardedBlockManager:
     def _pick_shared_home(
         self, num_tokens: int, prefix_id: int, prefix_tokens: int, share_partial: bool
     ) -> int | None:
-        """Most resident prefix hits first, then least-loaded, then index."""
+        """Most resident prefix hits first, then least-loaded, then index.
+
+        A device fits when its free blocks cover what the hits leave to
+        take (:meth:`BlockManager.can_allocate_shared`); each pool's hits
+        are read once.
+        """
+        needed = self.blocks_needed(num_tokens)
         best: tuple[int, int, int] | None = None
         choice: int | None = None
         for d in self._admissible():
             pool = self.pools[d]
-            if not pool.can_allocate_shared(
-                num_tokens, prefix_id, prefix_tokens, share_partial
-            ):
-                continue
             hits = pool.prefix_hits(prefix_id, prefix_tokens, share_partial)
-            key = (hits, pool.free_blocks, -d)
+            free = pool.free_blocks
+            if needed - min(hits, needed) > free:
+                continue
+            key = (hits, free, -d)
             if best is None or key > best:
                 best = key
                 choice = d

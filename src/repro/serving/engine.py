@@ -76,6 +76,7 @@ all-to-all term for tokens dispatched to remote experts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:
@@ -1239,32 +1240,42 @@ class ServingEngine:
     ) -> ServingReport:
         finished = scheduler.finished
         records: list[dict] = []
-        all_seqs: list[Sequence] = sorted(
-            scheduler.finished + scheduler.rejected + scheduler.stranded,
-            key=lambda s: s.request.request_id,
-        )
+        terminal = finished + scheduler.rejected + scheduler.stranded
         if num_submitted is not None:
             # Conservation: every submitted request must land in exactly one
             # terminal state — nothing may silently vanish from the report.
-            assert (
-                len(scheduler.finished) + len(scheduler.rejected) + len(scheduler.stranded)
-                == num_submitted
-            ), (
+            assert len(terminal) == num_submitted, (
                 f"request accounting leak: {len(scheduler.finished)} finished + "
                 f"{len(scheduler.rejected)} rejected + {len(scheduler.stranded)} "
                 f"stranded != {num_submitted} submitted"
             )
         multi_device = len(self.device_group) > 1
-        for seq in all_seqs:
+        # Summary lists keep *finish order* (their float reduction order is
+        # pinned by the goldens), so the records are built in that order,
+        # each latency property evaluated once for both, then stably sorted
+        # by request id.
+        ttfts: list[float] = []
+        tpots: list[float] = []
+        e2es: list[float] = []
+        num_finished = len(finished)
+        for i, seq in enumerate(terminal):
+            ttft, tpot, e2e = seq.ttft, seq.tpot, seq.e2e_latency
+            if i < num_finished:
+                if ttft is not None:
+                    ttfts.append(ttft)
+                if tpot is not None:
+                    tpots.append(tpot)
+                if e2e is not None:
+                    e2es.append(e2e)
             record = {
                 "request_id": seq.request.request_id,
                 "state": seq.state.value,
                 "arrival_s": seq.request.arrival_time,
                 "prompt_tokens": seq.request.prompt_tokens,
                 "new_tokens": seq.generated_tokens,
-                "ttft_s": seq.ttft,
-                "tpot_s": seq.tpot,
-                "e2e_s": seq.e2e_latency,
+                "ttft_s": ttft,
+                "tpot_s": tpot,
+                "e2e_s": e2e,
             }
             if multi_device:
                 # Home of the request's KV (its last admission); rejected
@@ -1279,22 +1290,7 @@ class ServingEngine:
                         seq.placement_epoch if seq.is_finished else None
                     )
             records.append(record)
-        # Summary lists keep *finish order* (their float reduction order is
-        # pinned by the goldens); evaluate each latency property once per
-        # sequence instead of twice (filter + collect).
-        ttfts: list[float] = []
-        tpots: list[float] = []
-        e2es: list[float] = []
-        for s in finished:
-            ttft = s.ttft
-            if ttft is not None:
-                ttfts.append(ttft)
-            tpot = s.tpot
-            if tpot is not None:
-                tpots.append(tpot)
-            e2e = s.e2e_latency
-            if e2e is not None:
-                e2es.append(e2e)
+        records.sort(key=itemgetter("request_id"))
         if finished:
             # The sustained-QPS window opens at the first *submitted* arrival
             # (not the first finished one): when early arrivals are rejected
@@ -1313,7 +1309,7 @@ class ServingEngine:
             device=self.backend.device.name,
             kv_policy=scheduler.allocation.name,
             scheduling_policy=scheduler.policy.name,
-            num_requests=len(all_seqs),
+            num_requests=len(terminal),
             completed=len(finished),
             rejected=len(scheduler.rejected),
             stranded=len(scheduler.stranded),

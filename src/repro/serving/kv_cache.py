@@ -29,13 +29,15 @@ Prefix sharing
 A :class:`~repro.serving.request.Request` may declare that its first
 ``prefix_tokens`` prompt tokens are drawn from a shared prefix identified by
 ``prefix_id`` (e.g. one of K system prompts).  The prefix index keys each
-*full* block of that region by ``(prefix_id, block_index)``; admission walks
-the index and maps every resident block read-only (refcount++) instead of
-taking a fresh block, so K concurrent sequences with a common prefix store
-its KV once.  A trailing partially-filled prefix block is shared only when
-the whole prompt *is* the prefix (otherwise divergent prompt tokens would
-land in it during prefill); the first divergent write into such a block is
-copy-on-write: the writer gets a private copy, the sharers keep the original.
+*full* block of that region by ``(prefix_id, block_index)``, and the pool
+keeps the length of each prefix's *resident run* (its index entries from
+block 0 up to the first gap); admission maps the run's blocks read-only
+(refcount++) instead of taking fresh ones, so K concurrent sequences with a
+common prefix store its KV once.  A trailing partially-filled prefix block
+is shared only when the whole prompt *is* the prefix (otherwise divergent
+prompt tokens would land in it during prefill); the first divergent write
+into such a block is copy-on-write: the writer gets a private copy, the
+sharers keep the original.
 Releasing a sharer (finish *or* preemption) only returns blocks whose
 refcount drops to zero — preempting a sharer frees just its private blocks.
 
@@ -138,6 +140,11 @@ class BlockManager:
         self._prefix_index: dict[tuple[int, int], int] = {}
         #: Reverse map of the prefix index (block id -> key).
         self._prefix_key: dict[int, tuple[int, int]] = {}
+        #: prefix_id -> length of the run of index entries resident from
+        #: block 0 (``(prefix_id, 0)``, ``(prefix_id, 1)``, ...).  Kept at
+        #: the three places the index changes, so :meth:`prefix_hits` never
+        #: walks the index; prefix ids with an empty run are absent.
+        self._prefix_run: dict[int, int] = {}
         #: Blocks with refcount > 1, maintained at the 1<->2 transitions so
         #: the per-iteration :attr:`shared_blocks` probe is O(1).
         self._shared_count = 0
@@ -288,14 +295,24 @@ class BlockManager:
 
         Sharing stops at the first non-resident block so the covered tokens
         always form a prefix of the KV stream (a hit for block 2 without
-        block 1 would be unusable).
+        block 1 would be unusable).  The run's length is kept up to date as
+        the index changes, so this is two lookups, not a walk of the index.
         """
-        hits = 0
-        for idx in range(self._shareable_blocks(prefix_tokens, share_partial)):
-            if (prefix_id, idx) not in self._prefix_index:
-                break
-            hits += 1
-        return hits
+        run = self._prefix_run.get(prefix_id, 0)
+        shareable = self._shareable_blocks(prefix_tokens, share_partial)
+        return run if run < shareable else shareable
+
+    def _unregister(self, key: tuple[int, int]) -> None:
+        """Drop ``key`` from the prefix index, cutting its prefix's run there."""
+        block_id = self._prefix_index.pop(key)
+        del self._prefix_key[block_id]
+        prefix_id, idx = key
+        runs = self._prefix_run
+        if idx < runs.get(prefix_id, 0):
+            if idx:
+                runs[prefix_id] = idx
+            else:
+                del runs[prefix_id]
 
     def _hit_tokens(self, hits: int, prefix_tokens: int) -> int:
         """Tokens of valid prefix KV covered by ``hits`` leading blocks."""
@@ -323,12 +340,15 @@ class BlockManager:
     ) -> tuple[int, int]:
         """Build a block table mapping resident prefix blocks read-only.
 
-        Walks the prefix index from block 0: every resident block is mapped
-        by reference (refcount++); the first miss ends sharing and every
-        later block — including the rest of the prefix region, which is
-        registered in the index for future sharers — comes fresh off the
-        free list.  Returns ``(fresh_blocks_taken, hit_tokens)`` where
-        ``hit_tokens`` counts the prefix KV tokens already resident.
+        The first ``hits`` blocks (the prefix's resident run, capped by the
+        shareable region and by ``needed``) are mapped by reference
+        (refcount++); every later block — including the rest of the prefix
+        region, which is registered in the index for future sharers — comes
+        fresh off the free list in one take, with the ids and order of
+        block-by-block takes.  A registration that fills the slot at the
+        run's end extends the run over it and over every entry already
+        resident past it.  Returns ``(fresh_blocks_taken, hit_tokens)``
+        where ``hit_tokens`` counts the prefix KV tokens already resident.
         """
         if seq_id in self._tables:
             raise KVCacheExhausted(f"sequence {seq_id} already holds blocks")
@@ -341,24 +361,39 @@ class BlockManager:
                 f"need {fresh} blocks for sequence {seq_id} (after {hits} prefix "
                 f"hits) but only {self.free_blocks}/{self._num_blocks} are free"
             )
+        index = self._prefix_index
         table: list[int] = []
-        for idx in range(hits):
-            block_id = self._prefix_index[(prefix_id, idx)]
-            self._ref[block_id] += 1
-            if self._ref[block_id] == 2:
-                self._shared_count += 1
+        if hits:
+            ref = self._ref
+            shared = 0
+            for idx in range(hits):
+                block_id = index[(prefix_id, idx)]
+                count = ref[block_id] + 1
+                ref[block_id] = count
+                if count == 2:
+                    shared += 1
+                table.append(block_id)
+            if shared:
+                self._shared_count += shared
                 self.rises += 1
-            table.append(block_id)
-        for idx in range(hits, needed):
-            block_id = self._take_free_block()
-            key = (prefix_id, idx)
-            if idx < shareable and key not in self._prefix_index:
-                # Fresh prefix block: register it so later sharers hit it.
-                # (A broken hit chain may leave a later index entry resident;
-                # it is left alone and this block stays private.)
-                self._prefix_index[key] = block_id
-                self._prefix_key[block_id] = key
-            table.append(block_id)
+        taken = self._take_free_blocks(fresh)
+        if hits < shareable:
+            # Hits stop at the run's end, so this registers its first
+            # missing slot.  A broken chain may leave a later entry
+            # resident; it is left alone and the block behind it stays
+            # private.
+            prefix_key = self._prefix_key
+            for idx in range(hits, shareable):
+                key = (prefix_id, idx)
+                if key not in index:
+                    block_id = taken[idx - hits]
+                    index[key] = block_id
+                    prefix_key[block_id] = key
+            run = shareable
+            while (prefix_id, run) in index:
+                run += 1
+            self._prefix_run[prefix_id] = run
+        table += taken
         self._tables[seq_id] = table
         hit_tokens = self._hit_tokens(hits, prefix_tokens)
         self.prefix_hit_blocks += hits
@@ -412,8 +447,7 @@ class BlockManager:
             return 0  # already private
         if self._ref[block_id] == 1:
             # Sole holder: mutate in place, but drop it from the index first.
-            del self._prefix_index[key]
-            del self._prefix_key[block_id]
+            self._unregister(key)
             return 0
         copy_id = self._take_free_block()
         self._ref[block_id] -= 1
@@ -571,39 +605,44 @@ class BlockManager:
 
         Shared blocks only drop a reference — a sharer's release (finish or
         preemption) physically frees just the blocks it held alone, and a
-        prefix block leaves the index only when its last holder lets go.
+        prefix block leaves the index (cutting its prefix's resident run)
+        only when its last holder lets go.  One pass over the table returns
+        the freed blocks to the free list in table order.
         """
         table = self._tables.pop(seq_id, None)
         if table is None:
             raise KVCacheExhausted(f"sequence {seq_id} holds no blocks")
+        ref = self._ref
+        free_list = self._free
         if self._shared_count == 0 and not self._prefix_key:
             # No block anywhere is shared or prefix-registered, so every
             # table entry holds the sole reference: skip the per-block
             # sharing checks and return the whole table to the free list in
             # one extend (same append order as the general loop).
-            ref = self._ref
             for block_id in table:
                 del ref[block_id]
-            self._free.extend(table)
-            if self.tracer is not None:
-                self.tracer.kv(
-                    "free", seq_id, len(table), self.device_index, len(self._free)
-                )
-            return len(table)
-        freed = 0
-        for block_id in table:
-            self._ref[block_id] -= 1
-            if self._ref[block_id] == 1:
-                self._shared_count -= 1
-            if self._ref[block_id] == 0:
-                del self._ref[block_id]
-                key = self._prefix_key.pop(block_id, None)
+            free_list.extend(table)
+            freed = len(table)
+        else:
+            prefix_key = self._prefix_key
+            before = len(free_list)
+            unshared = 0
+            for block_id in table:
+                count = ref[block_id] - 1
+                if count:
+                    ref[block_id] = count
+                    if count == 1:
+                        unshared += 1
+                    continue
+                del ref[block_id]
+                key = prefix_key.get(block_id)
                 if key is not None:
-                    del self._prefix_index[key]
-                self._free.append(block_id)
-                freed += 1
+                    self._unregister(key)
+                free_list.append(block_id)
+            self._shared_count -= unshared
+            freed = len(free_list) - before
         if self.tracer is not None:
-            self.tracer.kv("free", seq_id, freed, self.device_index, len(self._free))
+            self.tracer.kv("free", seq_id, freed, self.device_index, len(free_list))
         return freed
 
     # -- invariants --------------------------------------------------------------
@@ -617,6 +656,8 @@ class BlockManager:
     def check_invariants(self) -> None:
         """Structural self-check: free + allocated partition the pool exactly.
 
+        Refcounts, the prefix index, the shared-block counter and each
+        prefix's resident run are recounted from the tables and the index.
         Meant for tests to call after every mutation; raises
         :class:`KVCacheExhausted` on any violation.
         """
@@ -643,6 +684,18 @@ class BlockManager:
                 raise KVCacheExhausted("prefix index points at a free block")
         if self._shared_count != sum(1 for c in self._ref.values() if c > 1):
             raise KVCacheExhausted("shared-block counter disagrees with refcounts")
+        runs: dict[int, int] = {}
+        for prefix_id, _ in self._prefix_index:
+            if prefix_id not in runs:
+                run = 0
+                while (prefix_id, run) in self._prefix_index:
+                    run += 1
+                if run:
+                    runs[prefix_id] = run
+        if runs != self._prefix_run:
+            raise KVCacheExhausted(
+                f"prefix runs {self._prefix_run} disagree with the index's {runs}"
+            )
 
 
 class AllocationPolicy(abc.ABC):

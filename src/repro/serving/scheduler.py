@@ -285,6 +285,7 @@ class WaitingQueue:
 
 
 _FINISHED = RequestState.FINISHED
+_ADMIT_INDEX = attrgetter("admit_index")
 
 
 class KVMove(NamedTuple):
@@ -317,7 +318,10 @@ class DecodeTracker:
       home device (each contributes one token row per iteration);
     * :attr:`walked`, every other running sequence — the prefilling ones
       in the engine — in batch order, advanced one by one;
-    * :attr:`finish_heap`, of ``(iteration, tiebreak, sequence)`` entries;
+    * :attr:`finish_heap`, of ``(iteration, tiebreak, sequence)`` entries,
+      and :attr:`finished`, the sequences :meth:`step` finished (tracked
+      ones popped off the heap, walked ones that emitted their last token)
+      and the scheduler has yet to evict;
     * the block boundaries, bucketed by due iteration: ``_buckets`` maps
       each iteration to the sequences armed for it, in arm order, and
       :attr:`boundary_heap` holds each bucket's iteration once (pushed when
@@ -340,7 +344,7 @@ class DecodeTracker:
     """
 
     __slots__ = (
-        "iteration", "count", "home", "walked", "finish_heap",
+        "iteration", "count", "home", "walked", "finish_heap", "finished",
         "_boundaries", "_buckets", "boundary_heap",
     )
 
@@ -351,6 +355,9 @@ class DecodeTracker:
         self.home = [0] * num_devices
         self.walked: list[Sequence] = []
         self.finish_heap: list[tuple[int, int, Sequence]] = []
+        #: Finished by :meth:`step`, awaiting
+        #: :meth:`ContinuousBatchingScheduler.evict_finished`.
+        self.finished: list[Sequence] = []
         #: Whether block boundaries are armed at all (growing allocation
         #: only: a reserved extent never needs a boundary visit).
         self._boundaries = boundaries
@@ -468,11 +475,13 @@ class DecodeTracker:
         Advances the walked sequences, starts tracking those whose prefill
         completed (appending them, in batch order, to ``started`` when
         given), and finishes the tracked ones whose last token this was
-        (state and finish time only — the scheduler evicts).  Returns
+        (state and finish time only).  Every sequence it finishes is
+        appended to :attr:`finished` for the scheduler to evict.  Returns
         whether anything finished.
         """
         self.iteration = iteration
-        finished = False
+        finished = self.finished
+        ended = len(finished)
         walked = self.walked
         if walked:
             still: list[Sequence] = []
@@ -480,7 +489,7 @@ class DecodeTracker:
                 was_prefill = not seq.prefill_done
                 seq.advance(now, prefill_chunk)
                 if seq.state is _FINISHED:
-                    finished = True  # e.g. a single-token request
+                    finished.append(seq)  # e.g. a single-token request
                     if was_prefill and tracer is not None:
                         tracer.first_token(seq, now)
                 elif seq.prefill_done:
@@ -504,16 +513,24 @@ class DecodeTracker:
                 seq.decode_tracker = seq.finish_iteration = None
                 self.count -= 1
                 self.home[seq.home_device] -= 1
-                finished = True
-        return finished
+                finished.append(seq)
+        return len(finished) > ended
 
     def audit(self, running: list[Sequence]) -> None:
         """Raise unless the event state matches a recount from ``running``.
 
         Besides the counts and the finish schedule, every live boundary must
         sit in its iteration's bucket, and the boundary heap must hold each
-        bucket's iteration exactly once and nothing else.
+        bucket's iteration exactly once and nothing else.  At a turn start
+        every finish has been evicted: :attr:`finished` is empty and no
+        sequence in ``running`` is FINISHED.
         """
+        if self.finished:
+            raise RuntimeError(
+                f"finished sequences "
+                f"{[seq.request.request_id for seq in self.finished]} "
+                f"were never evicted"
+            )
         home = [0] * len(self.home)
         walked = []
         finish = {(at, id(seq)) for at, _, seq in self.finish_heap}
@@ -530,6 +547,10 @@ class DecodeTracker:
             if seq.admit_index <= previous:
                 raise RuntimeError("running batch is out of admission order")
             previous = seq.admit_index
+            if seq.state is _FINISHED:
+                raise RuntimeError(
+                    f"sequence {seq.request.request_id} finished but is still running"
+                )
             if seq.decode_tracker is not self:
                 walked.append(seq)
                 continue
@@ -881,7 +902,7 @@ class ContinuousBatchingScheduler:
         boundary = tracker.due()
         if boundary:
             due += boundary
-            due.sort(key=attrgetter("admit_index"))
+            due.sort(key=_ADMIT_INDEX)
         return due
 
     def _audit_writable_extents(self) -> None:
@@ -998,30 +1019,34 @@ class ContinuousBatchingScheduler:
         return self.stranded
 
     def evict_finished(self) -> list[Sequence]:
-        """Remove finished sequences from the batch and free their KV blocks."""
-        done: list[Sequence] = []
-        still_running: list[Sequence] = []
-        finished_state = RequestState.FINISHED
-        for seq in self.running:
-            (done if seq.state is finished_state else still_running).append(seq)
+        """Remove finished sequences from the batch and free their KV blocks.
+
+        The finishers are the ones :meth:`DecodeTracker.step` recorded plus
+        any walked sequence a caller advanced to FINISHED by hand; nothing
+        scans the batch.  They are released in admission order — the batch
+        order — each one removed from ``running`` by identity, and are
+        returned in that order.
+        """
         tracker = self.decode
-        if tracker.walked:
-            # Walked sequences finish by advancing; tracked ones already
-            # left the tracker at their finish event.
-            tracker.walked = [s for s in tracker.walked if s.state is not finished_state]
+        done = tracker.finished
+        tracker.finished = []
+        walked = tracker.walked
+        if walked:
+            by_hand = [s for s in walked if s.state is _FINISHED]
+            if by_hand:
+                tracker.walked = [s for s in walked if s.state is not _FINISHED]
+                done += by_hand
+        if len(done) > 1:
+            done.sort(key=_ADMIT_INDEX)
+        running = self.running  # mutated in place: the engine aliases it
         release = self.allocation.release
         tracer = self.tracer
-        if tracer is None:
-            for seq in done:
-                release(seq)
-        else:
-            for seq in done:
-                # Finish event first, then the KV free it causes.
-                tracer.finish(seq)
-                release(seq)
-        self.finished.extend(done)
-        # In-place so engine-held aliases of ``running`` stay live.
-        self.running[:] = still_running
+        for seq in done:
+            running.remove(seq)
+            if tracer is not None:
+                tracer.finish(seq)  # finish event first, then its KV free
+            release(seq)
+        self.finished += done
         return done
 
     # -- queries -----------------------------------------------------------------

@@ -3,8 +3,9 @@
 :class:`ReferenceEngine` is a verbatim copy of the per-iteration loop the
 serving engine ran before decode progress became event-driven: it counts,
 advances and capacity-checks every running sequence on every iteration
-(its scheduler scans the whole batch for capacity and grows each due
-sequence with its own ``blocks_deficit``/``grow`` visit, its decode
+(its scheduler scans the whole batch for capacity and for finished
+sequences, and grows each due sequence with its own
+``blocks_deficit``/``grow`` visit, its decode
 tracker tracks nothing), calls ``admit`` and ``ensure_capacity`` at every iteration
 boundary, and never macro-steps.  It is priced by the per-mode cost
 functions of ``cost_reference`` (the two overlap ones in their one-pass
@@ -80,7 +81,8 @@ class PerSequenceCapacityWalk:
 
 
 class ReferenceScheduler(PerSequenceCapacityWalk, ContinuousBatchingScheduler):
-    """The capacity walk's batch scan and per-sequence visits, verbatim."""
+    """The capacity walk's batch scan and per-sequence visits, and the
+    eviction that scans the whole batch for finished sequences, verbatim."""
 
     def _capacity_due(self):
         return [
@@ -88,6 +90,33 @@ class ReferenceScheduler(PerSequenceCapacityWalk, ContinuousBatchingScheduler):
             for seq in self.running
             if seq.request.prompt_tokens + seq.generated_tokens >= seq.kv_writable_extent
         ]
+
+    def evict_finished(self) -> list[Sequence]:
+        """Remove finished sequences from the batch and free their KV blocks."""
+        done: list[Sequence] = []
+        still_running: list[Sequence] = []
+        finished_state = RequestState.FINISHED
+        for seq in self.running:
+            (done if seq.state is finished_state else still_running).append(seq)
+        tracker = self.decode
+        if tracker.walked:
+            # Walked sequences finish by advancing; tracked ones already
+            # left the tracker at their finish event.
+            tracker.walked = [s for s in tracker.walked if s.state is not finished_state]
+        release = self.allocation.release
+        tracer = self.tracer
+        if tracer is None:
+            for seq in done:
+                release(seq)
+        else:
+            for seq in done:
+                # Finish event first, then the KV free it causes.
+                tracer.finish(seq)
+                release(seq)
+        self.finished.extend(done)
+        # In-place so engine-held aliases of ``running`` stay live.
+        self.running[:] = still_running
+        return done
 
 
 class ReferenceEngine(ReferenceCosts, ServingEngine):

@@ -111,7 +111,12 @@ def run_episode(seed: int, iterations: int = 400) -> collections.Counter[str]:
     for it in range(1, iterations + 1):
         tracker.step(it, float(it), None)
         oracle.iteration = it
-        for seq in [s for s in running if s.decode_tracker is not tracker]:
+        ended = [s for s in running if s.decode_tracker is not tracker]
+        # The tracker records exactly these finishers; the episode evicts
+        # them, as the scheduler would.
+        assert sorted(tracker.finished, key=lambda s: s.admit_index) == ended
+        tracker.finished = []
+        for seq in ended:
             running.remove(seq)  # finished at this iteration
             twins[seq.request.request_id].decode_tracker = None
             counts["finish"] += 1

@@ -15,7 +15,10 @@ sequence.  A multi-sequence ``grow_many`` op is checked against successive
 events must match — the episodes run both traced and untraced, since the
 bulk take emits its per-grant events only when a tracer is attached), and a
 ``grow_many`` that over-draws or names an unknown sequence must fail
-without touching the manager.
+without touching the manager.  After every op, every pool's
+``prefix_hits`` (the resident-run count) must equal the linear walk of the
+prefix index it replaced (:func:`scan_prefix_hits`), for every prefix id,
+with and without a shared partial tail.
 
 CI runs the fixed fast-tier seeds on every push (``-m "not slow"``); the
 weekly benchmark-smoke workflow runs the longer randomized sweep
@@ -140,9 +143,41 @@ def check_bulk_grow(manager, tracer, rng, live, unknown_id):
     return outcome
 
 
+#: Prefix ids the random ``alloc_shared`` ops draw from.
+PREFIX_IDS = range(3)
+#: ``(prefix_tokens, share_partial)`` probes: a prefix region with a
+#: partial tail block, shared and unshared, and one covering the longest
+#: table the ops build (10 blocks), so a run count off in either direction
+#: shows.
+PREFIX_PROBES = ((21, False), (21, True), (40, False))
+
+
+def scan_prefix_hits(pool, prefix_id, prefix_tokens, share_partial=False):
+    """``BlockManager.prefix_hits`` as the linear walk of the prefix index
+    it was before the pool kept each prefix's resident-run count, verbatim
+    but for the receiver's name: the oracle for that count."""
+    hits = 0
+    for idx in range(pool._shareable_blocks(prefix_tokens, share_partial)):
+        if (prefix_id, idx) not in pool._prefix_index:
+            break
+        hits += 1
+    return hits
+
+
+def assert_prefix_hits_match_scan(manager):
+    """Every pool's resident-run ``prefix_hits`` equals the index walk."""
+    for pool in pools_of(manager):
+        for prefix_id in PREFIX_IDS:
+            for prefix_tokens, share_partial in PREFIX_PROBES:
+                assert pool.prefix_hits(prefix_id, prefix_tokens, share_partial) == (
+                    scan_prefix_hits(pool, prefix_id, prefix_tokens, share_partial)
+                ), (pool.device_index, prefix_id, prefix_tokens, share_partial)
+
+
 def assert_cross_device_invariants(manager, live):
     """Sharding-specific partition checks on top of ``check_invariants``."""
     manager.check_invariants()
+    assert_prefix_hits_match_scan(manager)
     sizes = pool_sizes(manager)
     for seq_id in live:
         home = manager.home_device(seq_id)

@@ -203,6 +203,32 @@ def test_derived_generated_tokens_and_events():
     assert len(scheduler.evict_finished()) == 2 and tracker.count == 0
 
 
+def test_eviction_releases_together_finishing_sequences_in_admission_order():
+    """A walked single-token finisher and an earlier-admitted tracked one
+    that end in the same iteration leave in batch order, as a scan of the
+    batch would release them."""
+    pool = BlockManager(num_blocks=16, block_size=4)
+    scheduler = ContinuousBatchingScheduler(
+        pool, SchedulerConfig(), allocation=OnDemandPolicy(pool)
+    )
+    scheduler.debug_checks = True
+    tracker = scheduler.decode
+    tracked = scheduler.add_request(Request(0, 0.0, 5, 3))
+    scheduler.admit(0.0)
+    for iteration in (1, 2):
+        scheduler.ensure_capacity()
+        assert not tracker.step(iteration, 0.1 * iteration, None)
+    walked = scheduler.add_request(Request(1, 0.0, 5, 1))
+    scheduler.admit(0.2)
+    scheduler.ensure_capacity()
+    assert tracker.step(3, 0.3, None)
+    assert tracker.finished == [walked, tracked]  # walked finishers first
+    assert scheduler.evict_finished() == [tracked, walked]
+    assert scheduler.running == [] and scheduler.finished == [tracked, walked]
+    assert tracker.finished == [] and tracker.walked == []
+    pool.assert_no_leaks()
+
+
 @pytest.mark.parametrize(
     "corrupt, error, match",
     [
@@ -220,9 +246,14 @@ def test_derived_generated_tokens_and_events():
          RuntimeError, "boundary heap"),
         (lambda tracker, seq: tracker.boundary_heap.append(10**6),
          RuntimeError, "boundary heap"),
+        # Both sequences finish, and the turn starts without an eviction.
+        (lambda tracker, seq: tracker.step(8, 0.8, None), RuntimeError, "never evicted"),
+        # ... or the finishes were never recorded for eviction.
+        (lambda tracker, seq: (tracker.step(8, 0.8, None), tracker.finished.clear()),
+         RuntimeError, "finished but is still running"),
     ],
     ids=["count", "home", "walked", "finish", "boundary", "bucket", "heap_missing",
-         "heap_twice", "heap_orphan"],
+         "heap_twice", "heap_orphan", "unevicted", "unrecorded"],
 )
 def test_debug_checks_catch_corrupted_event_state(corrupt, error, match):
     scheduler, (seq, _) = decoding_scheduler()

@@ -221,6 +221,38 @@ class TestPrefixSharing:
         assert hit_tokens == 16
         assert mgr.block_table(3)[2] != mgr.block_table(4)[2]
 
+    def test_filling_a_gap_extends_the_run_over_resident_entries(self):
+        mgr = BlockManager(num_blocks=12, block_size=4)
+        mgr.allocate_shared(1, 16, prefix_id=0, prefix_tokens=16)  # registers 0-3
+        first = mgr.block_table(1)
+        mgr.ensure_writable(1, 5)  # sole holder of block 1: un-registered in place
+        assert mgr.prefix_hits(0, 16) == 1  # the gap at block 1 ends the run
+        # A sharer of an 8-token prefix hits block 0 and registers a fresh
+        # block 1; blocks 2 and 3 stayed resident, so the run now covers 4.
+        fresh, hit_tokens = mgr.allocate_shared(2, 8, prefix_id=0, prefix_tokens=8)
+        assert (fresh, hit_tokens) == (1, 4)
+        assert mgr.prefix_hits(0, 16) == 4 and mgr.prefix_hits(0, 40) == 4
+        mgr.check_invariants()
+        fresh, hit_tokens = mgr.allocate_shared(3, 16, prefix_id=0, prefix_tokens=16)
+        assert (fresh, hit_tokens) == (0, 16)
+        assert mgr.block_table(3) == (first[0], mgr.block_table(2)[1], first[2], first[3])
+        # A last-holder release cuts the run where the index loses an entry.
+        mgr.free(2)
+        assert mgr.prefix_hits(0, 16) == 4  # sequence 3 still holds block 1
+        mgr.free(3)
+        assert mgr.prefix_hits(0, 16) == 1
+        mgr.check_invariants()
+        mgr.free(1)
+        assert mgr.prefix_hits(0, 16) == 0
+        mgr.assert_no_leaks()
+
+    def test_check_invariants_recounts_the_runs(self):
+        mgr = BlockManager(num_blocks=8, block_size=4)
+        mgr.allocate_shared(1, 16, prefix_id=0, prefix_tokens=16)
+        mgr._prefix_run[0] = 3
+        with pytest.raises(KVCacheExhausted, match="prefix runs"):
+            mgr.check_invariants()
+
     def test_exhaustion_raises_before_mutation(self):
         mgr = BlockManager(num_blocks=3, block_size=8)
         mgr.allocate(1, 24)

@@ -6,12 +6,15 @@ rebalance migrations, and swap-to-host preemption with swap-in on resume.
 Example-based tests cannot cover the interleavings, so this tier drives
 
 * the :class:`ShardedBlockManager` through thousands of seeded random
-  ``allocate`` / ``grow`` / ``grow_many`` / ``migrate`` / ``free`` steps —
+  ``allocate`` / ``allocate_shared`` / ``grow`` / ``grow_many`` /
+  ``migrate`` / ``free`` steps —
   including migrations and bulk grows that *must* fail (destination too
   full, pool over-drawn, unknown sequence) and must leave the manager
   untouched, and bulk grows checked against successive ``grow`` calls on a
   twin manager — calling ``check_invariants()`` plus the cross-device
-  partition checks after every operation, and
+  partition checks after every operation, and comparing every pool's
+  ``prefix_hits`` with the prefix-index walk it replaced (a migration
+  releases its source table, which may cut a prefix's resident run), and
 * whole disaggregated engines (both preempt modes) through seeded random
   workloads under shrunken pools, checking request conservation, counter
   reconciliation (manager migration counters vs the report's migration
@@ -42,7 +45,11 @@ from repro.serving import (
 from repro.serving.kv_cache import KVCacheExhausted
 from repro.serving.request import Request, Sequence
 
-from test_cluster_properties import attach_tracer, check_bulk_grow
+from test_cluster_properties import (
+    assert_prefix_hits_match_scan,
+    attach_tracer,
+    check_bulk_grow,
+)
 
 BLOCK_SIZE = 4
 
@@ -75,6 +82,7 @@ def assert_cross_device_invariants(manager, live):
         for d, pool in enumerate(manager.pools):
             if d != home:
                 assert pool.blocks_held(seq_id) == 0
+    assert_prefix_hits_match_scan(manager)
 
 
 def drive_migration_ops(layout, seed, steps, traced=True):
@@ -93,7 +101,22 @@ def drive_migration_ops(layout, seed, steps, traced=True):
     for step in range(steps):
         op = rng.choice(["alloc", "grow", "grow_many", "migrate", "free"])
         try:
-            if op == "alloc":
+            if op == "alloc" and rng.integers(0, 2):
+                # A prefix sharer: its release by a migration or a free
+                # drops shared references and may cut a prefix's run.
+                tokens = int(rng.integers(1, 40))
+                prefix_id = int(rng.integers(0, 3))
+                prefix_tokens = int(rng.integers(1, tokens + 1))
+                share_partial = bool(rng.integers(0, 2))
+                if manager.can_allocate_shared(
+                    tokens, prefix_id, prefix_tokens, share_partial
+                ):
+                    manager.allocate_shared(
+                        next_id, tokens, prefix_id, prefix_tokens, share_partial
+                    )
+                    live[next_id] = tokens
+                    next_id += 1
+            elif op == "alloc":
                 tokens = int(rng.integers(1, 40))
                 if manager.can_allocate(tokens):
                     manager.allocate(next_id, tokens)
