@@ -19,8 +19,10 @@ Each turn of the engine loop does the boundary work of whatever happened
 (an arrival, a prefill chunk, a finish, a KV block boundary, a handoff),
 prices the resulting batch once, and advances one *stretch* of iterations
 at that price: a single iteration while a sequence prefills, otherwise
-every pure-decode iteration up to the next finish or block boundary, with
-the exact float additions of stepping them one by one, in every engine mode.
+every pure-decode iteration up to the next finish or arrival (KV block
+boundaries are granted inside the stretch; only one that needs a
+copy-on-write or a preemption ends it), with the exact float additions of
+stepping them one by one, in every engine mode.
 For a pure decode batch of ``B`` sequences that quantity *is* the Table 7
 cell for batch size ``B``; prefill iterations and kernels with a batch cap
 (GPTQ's GeMV) reuse the same model through the chunked
@@ -75,7 +77,7 @@ all-to-all term for tokens dispatched to remote experts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -1003,10 +1005,13 @@ class ServingEngine:
         so the next turn walks it.  Nothing else a turn start does can act
         there: no arrival is due, nothing finished and admission would
         retry nothing; occupancy only rises, so the KV peaks sampled after
-        the stretch are its maxima.  With telemetry, every iteration of the
-        stretch emits its ``iter`` event and due metrics sample, which read
-        only state that is constant across it, and a grant's ``kv`` events
-        follow them at that iteration's clock.
+        the stretch are its maxima.  Traced or not, a stretch advances
+        through the same loop; with telemetry, each advanced segment (up to
+        the stretch end, a due boundary or an arrival) is then replayed from
+        its first clock with the same additions, emitting every iteration's
+        ``iter`` event and due metrics sample before the segment's grant, so
+        they read the KV state the iterations ran under and the grant's
+        ``kv`` events follow them at the segment's last clock.
         """
         num_devices = len(self.device_group)
         totals = RunTotals([0] * num_devices)
@@ -1038,6 +1043,7 @@ class ServingEngine:
         metrics = self.metrics
         #: Next due metrics sample time (``inf`` disables the clock compare).
         metrics_due = metrics.next_due if metrics is not None else inf
+        telemetry = tracer is not None or metrics is not None
         #: ``block_manager.rises`` at the last peak sample.
         sampled_rises = -1
         #: Whether an event since the last ``admit`` may change its outcome.
@@ -1097,7 +1103,6 @@ class ServingEngine:
             # walked (prefilling) sequences need counting one by one.
             tokens, home_key = tracker.load(chunk)
             cost = cost_model.cost(tokens, home_key)
-            trace_cost = cost if multi else None
             stall = 0.0
             if drift is not None and (tokens, home_key) != last_ckey:
                 # One observation per distinct batch composition, before the
@@ -1107,10 +1112,6 @@ class ServingEngine:
                 if stall:
                     totals.migration_s += stall
                     totals.replacements += 1
-                    if tracer is not None:
-                        # The iter event carries the new layout's per-device
-                        # compute next to the old layout's step and max/mean.
-                        trace_cost = replace(cost, per_device=cost_model.layer_split(tokens)[4])
             if stall or tracker.walked:
                 # A re-placement reprices the next iteration (its stall lands
                 # after this one); a prefill chunk changes every iteration.
@@ -1127,65 +1128,58 @@ class ServingEngine:
             # declines, which ends the stretch.
             step = cost.step
             done = 0
-            if tracer is None and metrics is None:
-                while True:
-                    # Advance to the stretch's end or its next boundary; a
-                    # boundary already due (a swap-resumed admission can arm
-                    # one) is granted after one iteration.
-                    stop = span
-                    if boundary_heap and boundary_heap[0] - iterations < stop:
-                        stop = boundary_heap[0] - iterations
-                        if stop <= done:
-                            stop = done + 1
-                    # Conservative unchecked prefix: after k additions the
-                    # accumulated rounding error is far below one step, so
-                    # ``(next_at - clock)/step - 2`` iterations provably keep
-                    # ``clock < next_at`` throughout — run them without the
-                    # per-iteration comparison, then finish checked.
-                    n = stop - done
-                    if next_at is not inf and step > 0.0:
-                        safe = int((next_at - clock) / step) - 2
-                        if safe < n:
-                            n = safe if safe > 1 else 1
-                    for _ in range(n):
-                        clock += step
-                    done += n
-                    while done < stop and next_at > clock:
-                        clock += step
-                        done += 1
-                    if done == span or next_at <= clock:
-                        break
-                    tracker.iteration = iterations + done
-                    if not scheduler.grant_boundaries():
-                        break
-                clock += stall  # stalls come only with one-iteration stretches
-            else:
-                # Telemetry variant: the identical clock adds, plus each
-                # iteration's iter event and metrics due check.
-                batch = len(running)
-                while True:
-                    iter_t0 = clock  # float addition is not invertible
-                    clock = clock + step + stall
+            while True:
+                # Advance to the stretch's end or its next boundary; a
+                # boundary already due (a swap-resumed admission can arm
+                # one) is granted after one iteration.
+                stop = span
+                if boundary_heap and boundary_heap[0] - iterations < stop:
+                    stop = boundary_heap[0] - iterations
+                    if stop <= done:
+                        stop = done + 1
+                t1, first = clock, done  # the segment's start, for the replay
+                # Conservative unchecked prefix: after k additions the
+                # accumulated rounding error is far below one step, so
+                # ``(next_at - clock)/step - 2`` iterations provably keep
+                # ``clock < next_at`` throughout — run them without the
+                # per-iteration comparison, then finish checked.
+                n = stop - done
+                if next_at is not inf and step > 0.0:
+                    safe = int((next_at - clock) / step) - 2
+                    if safe < n:
+                        n = safe if safe > 1 else 1
+                for _ in range(n):
+                    clock += step
+                done += n
+                while done < stop and next_at > clock:
+                    clock += step
                     done += 1
-                    if tracer is not None:
-                        tracer.iteration(
-                            iterations + done - 1, iter_t0, clock, tokens, batch,
-                            trace_cost, stall,
-                        )
-                    if metrics is not None and clock >= metrics_due:
-                        metrics_due = self._sample_metrics(
-                            metrics, scheduler, clock, iterations + done, batch
-                        )
-                    if done == span or next_at <= clock:
-                        break
-                    if boundary_heap and boundary_heap[0] <= iterations + done:
-                        tracker.iteration = iterations + done
+                if telemetry:
+                    # Replay the segment's iterations from its first clock
+                    # with the same additions (a stall comes only with a
+                    # one-iteration stretch): each emits its iter event and
+                    # due metrics sample, which read only state constant
+                    # across the segment, before the grant below moves KV.
+                    batch = len(running)
+                    for i in range(iterations + first, iterations + done):
+                        t0 = t1
+                        t1 = t0 + step + stall
                         if tracer is not None:
-                            tracer.now = clock  # the grant's kv events carry it
-                        if not scheduler.grant_boundaries():
-                            break
-                if tracer is not None:
-                    tracer.now = clock  # finish/KV-free events below carry it
+                            tracer.iteration(
+                                i, t0, t1, tokens, batch, cost if multi else None, stall
+                            )
+                        if t1 >= metrics_due:
+                            metrics_due = self._sample_metrics(
+                                metrics, scheduler, t1, i + 1, batch
+                            )
+                    if tracer is not None:
+                        tracer.now = t1  # the grant's and the finishes' events carry it
+                if done == span or next_at <= clock:
+                    break
+                tracker.iteration = iterations + done
+                if not scheduler.grant_boundaries():
+                    break
+            clock += stall  # stalls come only with one-iteration stretches
             if multi:
                 totals.charge(cost, done)
             iterations += done

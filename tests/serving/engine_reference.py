@@ -409,6 +409,10 @@ class ReferenceEngine(ReferenceCosts, ServingEngine):
                 step = self._iteration_cost(tokens, None)[0]
             if tracer is not None:
                 iter_t0 = clock  # float addition is not invertible
+                if multi:
+                    # The layout that prices this iteration, read before a
+                    # re-placement below moves experts.
+                    per_device = self._telemetry_per_device(tokens, home_key)
             clock += step
             iterations += 1
             total_tokens += tokens
@@ -434,7 +438,7 @@ class ReferenceEngine(ReferenceCosts, ServingEngine):
                             iterations - 1, iter_t0, clock, tokens, batch,
                             IterationCost(
                                 step, max_compute, mean_compute, remote_tokens,
-                                self._telemetry_per_device(tokens, home_key),
+                                per_device,
                                 hidden, comm,
                             ),
                             stall=iter_stall,
@@ -444,7 +448,7 @@ class ReferenceEngine(ReferenceCosts, ServingEngine):
                             iterations - 1, iter_t0, clock, tokens, batch,
                             IterationCost(
                                 step, max_compute, mean_compute, remote_tokens,
-                                self._telemetry_per_device(tokens, home_key),
+                                per_device,
                             ),
                             stall=iter_stall,
                         )

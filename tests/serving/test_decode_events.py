@@ -95,6 +95,7 @@ def run_draw(engine_cls, seed, telemetry):
         pool.num_blocks = pool_blocks
     policy = FewestTokensVictim() if custom_policy(seed) else None
     walk_preemptions = 0
+    stretch_grants = 0
     make_scheduler = engine.make_scheduler
 
     def counting_scheduler():
@@ -110,6 +111,15 @@ def run_draw(engine_cls, seed, telemetry):
             return preempted
 
         scheduler.ensure_capacity = counted
+        grant_boundaries = scheduler.grant_boundaries
+
+        def counted_grant():
+            nonlocal stretch_grants
+            granted = grant_boundaries()
+            stretch_grants += granted
+            return granted
+
+        scheduler.grant_boundaries = counted_grant
         return scheduler
 
     engine.make_scheduler = counting_scheduler
@@ -127,6 +137,7 @@ def run_draw(engine_cls, seed, telemetry):
             report=report,
             handoff_fallbacks=report.preemptions - walk_preemptions,
             victim_choices=policy.choices if policy is not None else 0,
+            stretch_grants=stretch_grants,
         ),
     )
 
@@ -154,7 +165,10 @@ def test_event_driven_decode_matches_walk_sweep(seed, telemetry):
 
 
 def test_fast_draws_cover_every_decode_event():
-    """The fast seeds reach every membership change the tracker handles."""
+    """The fast seeds reach every membership change the tracker handles,
+    and with telemetry on, both cases the stretch replay distinguishes: a
+    stretch of several segments (a boundary granted inside it) and a
+    re-placement's stall."""
     stats = [compare(seed, False)[1] for seed in FAST_SEEDS]
     reports = [s["report"] for s in stats]
     migrations = [r.migration or {} for r in reports]
@@ -166,6 +180,9 @@ def test_fast_draws_cover_every_decode_event():
     assert any(r.prefix_cow_copies for r in reports)
     assert any(s["handoff_fallbacks"] for s in stats)
     assert any(s["victim_choices"] for s in stats)
+    traced = [compare(seed, True)[1] for seed in FAST_SEEDS]
+    assert any(s["stretch_grants"] for s in traced)
+    assert any((s["report"].overlap or {}).get("replacements") for s in traced)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,19 @@ def test_lifecycle_event_counts_match_report():
     assert kinds.count("preempt") == report.preemptions
 
 
+def test_replacing_iteration_reports_the_layout_that_priced_it():
+    """The iter event of the iteration whose routing triggered a
+    re-placement describes the layout it ran on: the first one carries
+    epoch 0's per-device compute, next to epoch 0's max and mean."""
+    report, tracer, _ = run_traced(CONFIGS["replace"], WORKLOADS["mixed"])
+    assert report.overlap["replacements"]
+    event = next(e for e in tracer.events if e["kind"] == "iter" and "stall" in e)
+    fresh = ServingEngine(MiLoBackend(), "mixtral-8x7b", EngineConfig(**CONFIGS["replace"]))
+    split = fresh.cost_model.layer_split(event["tokens"])
+    assert event["compute"] == list(split[4])
+    assert (event["max"], event["mean"]) == (split[2], split[3])
+
+
 def test_ondemand_emits_preempt_grow_and_free_events():
     report, tracer, _ = run_traced(ONDEMAND_CONFIG, ONDEMAND_WORKLOAD)
     assert report.preemptions > 0  # the scenario must actually preempt
