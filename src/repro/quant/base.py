@@ -7,7 +7,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .grid import QuantGrid, dequantize_with_grid, from_groups, to_groups
+from .grid import QuantGrid, dequantize_with_grid
 
 __all__ = ["QuantizedMatrix", "MatrixQuantizer"]
 
@@ -43,9 +43,10 @@ class QuantizedMatrix:
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the dense ``(out, in)`` weight ``Q^{-1}(W_q)``."""
-        grouped = to_groups(np.zeros(self.original_shape), self.group_size)
+        out_features, in_features = self.original_shape
         grouped_values = dequantize_with_grid(self.codes, self.grid)
-        return from_groups(grouped, grouped_values)
+        padded = grouped_values.reshape(out_features, in_features + self.pad)
+        return padded[:, :in_features].copy()
 
     def storage_bytes(self, metadata_bits: int = 16) -> float:
         """Packed-weight bytes plus scale/zero-point metadata bytes."""

@@ -33,6 +33,22 @@ element of ``W_q - (W_e - M)/s`` -- and hence every pairwise partial sum of
 the group mean -- can differ only in the sign of a zero.  Only an update
 that comes out exactly zero could tell the two apart; rather than lean on
 NumPy's signed-zero conventions, such an update takes the shrink path.
+
+**Settled groups.**  A dead update of one group's zero depends only on that
+group's codes.  So if a group's codes are equal at iterations ``k-1`` and
+``k`` and the updates at both were dead, its zero for ``k+1`` equals its zero
+for ``k`` bit for bit, and from then on its codes, ``|residual|`` and
+``|residual|^p`` cannot change until a live (``shrink_lp``) update.  The
+loop keeps every group's codes, ``|residual|`` and ``|residual|^p`` in
+full-size buffers and recomputes only the groups still moving (a few percent
+after the first handful of iterations on real weights).  The dead-zone
+``max`` and the ``err`` sum still run over the full buffers, whose values are
+those a full recompute would produce, so their summation order and hence
+``err``, the early stop, ``hqq_iters`` and ``final_lp_error`` are unchanged.
+A settled group's zero came from an accepted dead update, so it is non-zero
+and needs no exact-zero check.  The first iteration and the one after a live
+update compare nothing, and a live update recomputes from the full buffers
+and puts every group back in play.
 """
 
 from __future__ import annotations
@@ -83,12 +99,45 @@ class HQQConfig:
     iters: int = 20           # inner iterations of the half-quadratic solver
     early_stop_tol: float = 1e-5
 
+    def __post_init__(self) -> None:
+        # Each test reads "valid", so a NaN fails it too.
+        for name, valid, requirement in (
+            ("bits", 2 <= self.bits <= 8, "in [2, 8]"),
+            ("group_size", self.group_size >= 1, "at least 1"),
+            ("p_norm", 0.0 < self.p_norm < 1.0, "in (0, 1)"),
+            ("beta", self.beta > 0.0, "positive"),
+            ("kappa", self.kappa > 0.0, "positive"),
+            ("iters", self.iters >= 1, "at least 1"),
+            ("early_stop_tol", self.early_stop_tol >= 0.0, "non-negative"),
+        ):
+            if not valid:
+                value = getattr(self, name)
+                raise ValueError(f"HQQConfig.{name} must be {requirement}, got {value!r}")
 
-def _round_codes(scaled: np.ndarray, zero: np.ndarray, qmax: int, out: np.ndarray) -> None:
-    """``out = clip(round(W_e / s + z), 0, qmax)``, written in place."""
-    np.add(scaled, zero, out=out)
+
+def _round_codes(
+    scaled: np.ndarray, zero: np.ndarray, qmax: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``clip(round(W_e / s + z), 0, qmax)``, written into ``out`` if given."""
+    out = np.add(scaled, zero, out=out)
     np.rint(out, out=out)
-    np.clip(out, 0, qmax, out=out)
+    out.clip(0, qmax, out=out)
+    return out
+
+
+def _take_rows(a: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+    """The groups ``rows`` of ``a``: a view for ``slice(None)``, else a copy."""
+    return a[rows] if isinstance(rows, slice) else a.take(rows, axis=0)
+
+
+def _residual(
+    groups: np.ndarray, scale: np.ndarray, codes: np.ndarray, zero: np.ndarray
+) -> np.ndarray:
+    """``W_e - s (W_q - z)`` in a fresh array."""
+    residual = codes - zero
+    np.multiply(scale, residual, out=residual)
+    np.subtract(groups, residual, out=residual)
+    return residual
 
 
 class HQQQuantizer:
@@ -124,37 +173,55 @@ class HQQQuantizer:
         qmax = base_grid.qmax
         p = cfg.p_norm
 
-        # The scale never changes, so W_e / s is loop-invariant; the loop works
-        # in preallocated buffers.
+        # The scale never changes, so W_e / s is loop-invariant.  The full
+        # buffers hold every group's latest codes, |residual| and |residual|^p;
+        # an iteration recomputes only the groups in ``rows`` (see "Settled
+        # groups" in the module docstring).
         scaled = groups / scale
+        width = scaled.shape[1]
         codes = np.empty_like(scaled)
-        residual = np.empty_like(scaled)
-        work = np.empty_like(scaled)
+        abs_residual = np.empty_like(scaled)
+        lp_residual = np.empty_like(scaled)
+        rows: slice | np.ndarray = slice(None)
+        compare = False  # the previous update was dead
 
         beta = cfg.beta
         prev_err = np.inf
         n_iters = 0
         for _ in range(cfg.iters):
             n_iters += 1
-            _round_codes(scaled, zero, qmax, out=codes)
-            # residual = W_e - s (W_q - z)
-            np.subtract(codes, zero, out=residual)
-            np.multiply(scale, residual, out=residual)
-            np.subtract(groups, residual, out=residual)
-            abs_residual = np.abs(residual, out=work)
-            dead = abs_residual.max(initial=0.0) <= _dead_zone(beta, p)
-            abs_residual **= p
-            err = float(np.add.reduce(abs_residual, axis=None) / abs_residual.size)
+            rows_scaled = _take_rows(scaled, rows)
+            rows_zero = _take_rows(zero, rows)
+            rows_codes = _round_codes(rows_scaled, rows_zero, qmax)
+            if compare:
+                same = (rows_codes == _take_rows(codes, rows)).all(axis=1)
+            codes[rows] = rows_codes
+            rows_residual = _residual(
+                _take_rows(groups, rows), _take_rows(scale, rows), rows_codes, rows_zero
+            )
+            np.abs(rows_residual, out=rows_residual)
+            abs_residual[rows] = rows_residual
+            rows_residual **= p
+            lp_residual[rows] = rows_residual
+            err = float(np.add.reduce(lp_residual, axis=None) / lp_residual.size)
             # Closed-form zero-point update: z = <W_q - (W_e - M)/s> per group.
-            new_zero = None
-            if dead:
+            rows_new_zero = None
+            if abs_residual.max(initial=0.0) <= _dead_zone(beta, p):
                 # M is ±0 everywhere (see the module docstring).
-                np.subtract(codes, scaled, out=work)
-                new_zero = np.add.reduce(work, axis=1, keepdims=True) / work.shape[1]
-            if new_zero is None or not new_zero.all():
-                M = shrink_lp(residual, beta, p)
-                new_zero = np.mean(codes - (groups - M) / scale, axis=1, keepdims=True)
-            zero = new_zero
+                np.subtract(rows_codes, rows_scaled, out=rows_codes)
+                rows_new_zero = np.add.reduce(rows_codes, axis=1, keepdims=True) / width
+            # Settled groups keep zeros that an accepted dead update made non-zero.
+            if rows_new_zero is not None and rows_new_zero.all():
+                zero[rows] = rows_new_zero
+                if compare:
+                    moving = ~same
+                    rows = moving.nonzero()[0] if isinstance(rows, slice) else rows[moving]
+                compare = True
+            else:
+                M = shrink_lp(_residual(groups, scale, codes, zero), beta, p)
+                zero = np.mean(codes - (groups - M) / scale, axis=1, keepdims=True)
+                rows = slice(None)
+                compare = False
             beta *= cfg.kappa
             if abs(prev_err - err) / max(prev_err, 1e-12) < cfg.early_stop_tol:
                 break

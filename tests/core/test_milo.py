@@ -107,3 +107,18 @@ class TestConfigValidation:
         cfg = MiLoConfig(bits=4, group_size=32)
         assert cfg.hqq.bits == 4
         assert cfg.hqq.group_size == 32
+
+    @pytest.mark.parametrize("bad", [{"bits": 9}, {"bits": 1}, {"group_size": 0}])
+    def test_outer_settings_checked_by_the_inner_hqq_config(self, bad):
+        with pytest.raises(ValueError, match="HQQConfig"):
+            MiLoConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("p_norm", 2.0), ("beta", 0.0), ("kappa", 0.0), ("iters", 0), ("early_stop_tol", -1.0)],
+    )
+    def test_inner_hqq_config_rechecked_when_rebuilt(self, name, value):
+        hqq = HQQConfig()
+        setattr(hqq, name, value)  # bypasses HQQConfig's own check
+        with pytest.raises(ValueError, match=f"HQQConfig.{name}"):
+            MiLoConfig(hqq=hqq)

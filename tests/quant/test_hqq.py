@@ -115,3 +115,37 @@ class TestHQQ:
 
     def test_calibration_free_flag(self):
         assert HQQQuantizer().calibration_free is True
+
+
+BAD_CONFIG_VALUES = [
+    ("bits", 1),
+    ("bits", 9),
+    ("group_size", 0),
+    ("p_norm", -1.0),
+    ("p_norm", 0.0),
+    ("p_norm", 1.0),
+    ("p_norm", 2.0),
+    ("p_norm", float("nan")),
+    ("beta", 0.0),
+    ("beta", -10.0),
+    ("kappa", 0.0),
+    ("kappa", -1.01),
+    ("iters", 0),
+    ("early_stop_tol", -1e-9),
+]
+
+
+class TestHQQConfigValidation:
+    @pytest.mark.parametrize("name, value", BAD_CONFIG_VALUES)
+    def test_bad_value_rejected_by_config(self, name, value):
+        with pytest.raises(ValueError, match=f"HQQConfig.{name}"):
+            HQQConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", BAD_CONFIG_VALUES)
+    def test_bad_value_rejected_by_quantizer_overrides(self, name, value):
+        with pytest.raises(ValueError, match=f"HQQConfig.{name}"):
+            HQQQuantizer(**{name: value})
+
+    def test_edge_values_accepted(self):
+        HQQConfig(bits=2, group_size=1, p_norm=1e-3, beta=1e-9, kappa=1e-9, iters=1, early_stop_tol=0.0)
+        HQQConfig(bits=8, p_norm=0.999)

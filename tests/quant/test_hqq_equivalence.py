@@ -1,13 +1,15 @@
 """The HQQ and MiLo loops against verbatim copies of their straightforward forms.
 
 ``HQQQuantizer.quantize`` skips the ``l_p`` shrinkage whenever it is provably
-``±0`` and runs in preallocated buffers; ``MiLoMatrixOptimizer.optimize``
-computes ``U @ V`` once per outer iteration.  Both must reproduce the plain
-loops below bit for bit: codes, zero points, scales, stats, error histories
-and deployed weights.
+``±0`` and recomputes only the groups whose codes can still change;
+``MiLoMatrixOptimizer.optimize`` computes ``U @ V`` once per outer iteration.
+Both must reproduce the plain loops below bit for bit: codes, zero points,
+scales, stats, error histories and deployed weights.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -149,7 +151,7 @@ def _assert_same_quantization(expected, actual):
 
 
 def _random_case(rng):
-    """One draw of shape, bit width, group size, beta, p, weight scale and target."""
+    """One draw of shape, bit width, group size, beta, kappa, p, weight scale and target."""
     group_size = int(rng.integers(16, 129))
     out_features = int(rng.integers(1, 48))
     in_features = int(rng.integers(1, 4 * group_size))
@@ -158,6 +160,7 @@ def _random_case(rng):
         group_size=group_size,
         p_norm=float(rng.choice([0.3, 0.5, 0.7, 0.9, rng.uniform(0.3, 0.9)])),
         beta=float(10 ** rng.uniform(np.log10(0.5), 2.0)),
+        kappa=float(rng.choice([0.2, 0.5, 1.01, 1.5, 3.0])),
         iters=int(rng.choice([1, 5, 20])),
     )
     magnitude = 10 ** rng.uniform(-6.0, np.log10(300.0))
@@ -166,6 +169,34 @@ def _random_case(rng):
     if rng.random() < 0.5:
         target = weight - 0.1 * magnitude * rng.standard_normal(weight.shape)
     return config, weight, target
+
+
+def _dead_zone_edge_case(rng):
+    """A grid whose half-step sits at the shrinkage threshold, with beta shrinking.
+
+    ``shrink_lp`` is ``±0`` for ``|x| <= beta^(-1/(2-p))``, twice the dead-zone
+    bound.  Uniform weights put the min/max grid's largest residual near a
+    half-step, drawn here at 0.75-1.5x that threshold, so the first updates
+    are live and some move zeros; ``kappa <= 0.5`` then widens the dead zone
+    1.5-8x per iteration, so dead updates follow a zero-moving live one.
+    """
+    group_size = int(rng.integers(16, 129))
+    out_features = int(rng.integers(1, 48))
+    in_features = int(rng.integers(1, 4 * group_size))
+    bits = int(rng.integers(2, 9))
+    p = float(rng.choice([0.3, 0.5, 0.7, 0.9]))
+    beta = float(10 ** rng.uniform(np.log10(0.5), 2.0))
+    config = HQQConfig(
+        bits=bits,
+        group_size=group_size,
+        p_norm=p,
+        beta=beta,
+        kappa=float(rng.choice([0.1, 0.2, 0.3, 0.5])),
+        iters=20,
+    )
+    half_step = beta ** (-1.0 / (2.0 - p)) * rng.uniform(0.75, 1.5)
+    weight = rng.uniform(-1.0, 1.0, (out_features, in_features)) * half_step * (2**bits - 1)
+    return config, weight, None
 
 
 def _signed_zero_cases():
@@ -183,20 +214,37 @@ def _signed_zero_cases():
     ]
 
 
-def test_quantize_matches_reference_over_a_seeded_sweep(monkeypatch):
+def _sweep(monkeypatch, cases):
+    """Compare every case with the reference; return the reference's update kinds.
+
+    One letter per reference iteration: ``d`` when its residual passes the
+    dead-zone test (the loop then takes the dead update unless a zero comes
+    out exactly 0), else ``L`` when ``shrink_lp`` moves some element of ``M``
+    off zero and ``l`` when it does not.
+    """
+    plain_shrink = shrink_lp
     live_calls = 0
+    kinds: list[str] = []
 
     def counting_shrink(x, beta, p):
         nonlocal live_calls
         live_calls += 1
-        return shrink_lp(x, beta, p)
+        return plain_shrink(x, beta, p)
+
+    def classifying_shrink(x, beta, p):
+        M = plain_shrink(x, beta, p)
+        if np.abs(x).max(initial=0.0) <= hqq_module._dead_zone(beta, p):
+            kinds[-1] += "d"
+        else:
+            kinds[-1] += "L" if M.any() else "l"
+        return M
 
     monkeypatch.setattr(hqq_module, "shrink_lp", counting_shrink)
-    rng = np.random.default_rng(20250613)
-    cases = [_random_case(rng) for _ in range(160)] + _signed_zero_cases()
+    monkeypatch.setitem(globals(), "shrink_lp", classifying_shrink)
     total_iters = 0
     for config, weight, target in cases:
         quantizer = HQQQuantizer(config)
+        kinds.append("")
         expected = reference_quantize(quantizer, weight, target)
         actual = quantizer.quantize(weight, target)
         _assert_same_quantization(expected, actual)
@@ -204,6 +252,31 @@ def test_quantize_matches_reference_over_a_seeded_sweep(monkeypatch):
 
     # Both the dead-shrinkage shortcut and the live shrink path ran.
     assert 0 < live_calls < total_iters
+    return kinds
+
+
+def _assert_settling_covered(kinds):
+    # Live updates after two dead ones, the last of them moving zeros: the
+    # first live update must put every settled group back into play.
+    assert any(re.search("ddl*L", k) for k in kinds)
+    # A dead update right after a zero-moving live one, and an iteration after
+    # it: codes that repeat across a live update must not settle a group.
+    assert any(re.search("Ld.", k) for k in kinds)
+
+
+def test_quantize_matches_reference_over_a_seeded_sweep(monkeypatch):
+    rng = np.random.default_rng(20250613)
+    cases = [_random_case(rng) for _ in range(240)]
+    cases += [_dead_zone_edge_case(rng) for _ in range(120)]
+    _assert_settling_covered(_sweep(monkeypatch, cases + _signed_zero_cases()))
+
+
+@pytest.mark.slow
+def test_quantize_matches_reference_over_a_long_sweep(monkeypatch):
+    rng = np.random.default_rng(20261020)
+    cases = [_random_case(rng) for _ in range(1000)]
+    cases += [_dead_zone_edge_case(rng) for _ in range(1000)]
+    _assert_settling_covered(_sweep(monkeypatch, cases))
 
 
 def test_compressor_matches_reference_loops(monkeypatch):
