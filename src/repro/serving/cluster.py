@@ -35,13 +35,17 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 from typing import Sequence as SequenceType
 
 import numpy as np
 import numpy.typing as npt
 
 from ..kernels.device import DeviceSpec
-from .kv_cache import BlockManager, KVCacheExhausted
+from .kv_cache import BlockManager, KVCacheExhausted, grow_pools
+
+if TYPE_CHECKING:
+    from .request import Sequence
 
 __all__ = [
     "DeviceGroup",
@@ -479,7 +483,7 @@ class ShardedBlockManager:
             d for d in self._admissible() if needed_blocks <= self.pools[d].free_blocks
         ]
 
-    def _pick_home(self, num_tokens: int) -> int | None:
+    def pick_home(self, num_tokens: int) -> int | None:
         """Least-loaded device (most free blocks, ties by index) that fits."""
         needed = self.blocks_needed(num_tokens)
         fitting = self._fitting_devices(needed)
@@ -487,7 +491,7 @@ class ShardedBlockManager:
             return None
         return max(fitting, key=lambda d: (self.pools[d].free_blocks, -d))
 
-    def _pick_shared_home(
+    def pick_shared_home(
         self, num_tokens: int, prefix_id: int, prefix_tokens: int, share_partial: bool
     ) -> int | None:
         """Most resident prefix hits first, then least-loaded, then index.
@@ -617,7 +621,7 @@ class ShardedBlockManager:
         return sum(pool.max_sequences(tokens_per_sequence) for pool in self.pools)
 
     def can_allocate(self, num_tokens: int) -> bool:
-        return self._pick_home(num_tokens) is not None
+        return self.pick_home(num_tokens) is not None
 
     def can_allocate_shared(
         self,
@@ -627,15 +631,18 @@ class ShardedBlockManager:
         share_partial: bool = False,
     ) -> bool:
         return (
-            self._pick_shared_home(num_tokens, prefix_id, prefix_tokens, share_partial)
+            self.pick_shared_home(num_tokens, prefix_id, prefix_tokens, share_partial)
             is not None
         )
 
     # -- mutations ----------------------------------------------------------------
-    def allocate(self, seq_id: int, num_tokens: int) -> int:
+    def allocate(self, seq_id: int, num_tokens: int, device: int | None = None) -> int:
+        """Allocate on ``device``, or on :meth:`pick_home`'s choice when ``None``
+        (admission hands over the device its fit test already picked)."""
         if seq_id in self._home:
             raise KVCacheExhausted(f"sequence {seq_id} already holds blocks")
-        device = self._pick_home(num_tokens)
+        if device is None:
+            device = self.pick_home(num_tokens)
         if device is None:
             raise KVCacheExhausted(
                 f"no device can hold {self.blocks_needed(num_tokens)} blocks for "
@@ -653,12 +660,15 @@ class ShardedBlockManager:
         prefix_id: int,
         prefix_tokens: int,
         share_partial: bool = False,
+        device: int | None = None,
     ) -> tuple[int, int]:
+        """Allocate on ``device``, or on :meth:`pick_shared_home`'s choice."""
         if seq_id in self._home:
             raise KVCacheExhausted(f"sequence {seq_id} already holds blocks")
-        device = self._pick_shared_home(
-            num_tokens, prefix_id, prefix_tokens, share_partial
-        )
+        if device is None:
+            device = self.pick_shared_home(
+                num_tokens, prefix_id, prefix_tokens, share_partial
+            )
         if device is None:
             raise KVCacheExhausted(
                 f"no device can admit sequence {seq_id} "
@@ -673,45 +683,13 @@ class ShardedBlockManager:
     def grow(self, seq_id: int, num_blocks: int) -> int:
         return self._home_pool(seq_id).grow(seq_id, num_blocks)
 
-    def grow_many(self, grants: list[tuple[int, int]]) -> None:
-        """Grow several tables with one free-list take per home device.
-
-        The sharded form of :meth:`BlockManager.grow_many`: every pair is
-        checked on its home pool before any pool gives up a block, and the
-        blocks and ``grow`` trace events go out in the global order of
-        ``grants`` — what :meth:`grow` called on each pair in turn does.
-        Each pair's home and table are looked up once, by the checks.
-        """
-        home = self._home
-        pools = self.pools
-        tables = [pool._tables for pool in pools]
-        totals = [0] * len(pools)
-        devices: list[int] = []
-        targets: list[list[int]] = []
-        for seq_id, num_blocks in grants:
-            device = home.get(seq_id)
-            if device is None:
-                raise KVCacheExhausted(f"sequence {seq_id} holds no blocks on any device")
-            if num_blocks <= 0:
-                raise ValueError("num_blocks must be positive")
-            totals[device] += num_blocks
-            devices.append(device)
-            targets.append(tables[device][seq_id])
-        for pool, total in zip(pools, totals):
-            pool._check_growth(total)
-        taken = [pool._take_free_blocks(total) for pool, total in zip(pools, totals)]
-        ends = [0] * len(pools)
-        for (seq_id, num_blocks), device, table in zip(grants, devices, targets):
-            start = ends[device]
-            end = ends[device] = start + num_blocks
-            table.extend(taken[device][start:end])
-            pool = pools[device]
-            if pool.tracer is not None:
-                # The free count that grow() on this pair would have left.
-                pool.tracer.kv(
-                    "grow", seq_id, num_blocks, pool.device_index,
-                    len(pool._free) + totals[device] - end,
-                )
+    def grow_many(
+        self, due: list[Sequence], plan: Callable[[Sequence], int | None]
+    ) -> bool:
+        """The sharded bulk grant: :func:`~repro.serving.kv_cache.grow_pools`
+        over every pool, each sequence on its ``home_device`` — the
+        scheduler's copy of this manager's home map."""
+        return grow_pools(self.pools, due, plan)
 
     def cow_cost(self, seq_id: int, token_index: int) -> int:
         return self._home_pool(seq_id).cow_cost(seq_id, token_index)

@@ -54,7 +54,7 @@ Per-token KV footprint comes from
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..models.registry import FullModelSpec
 from .request import Request, Sequence
@@ -92,9 +92,9 @@ class KVOverdraw(KVCacheExhausted):
     """Raised when growth asks for more blocks than are free.
 
     Unlike the other :class:`KVCacheExhausted` cases (an unknown or
-    duplicate sequence, a broken pool invariant), an over-draw is a normal
-    outcome of a bulk grant: the pool is left as it was, and the caller may
-    decline the grant and fall back to preemption.
+    duplicate sequence, a broken pool invariant), an over-draw leaves the
+    pool as it was.  The bulk grant (:func:`grow_pools`) does not raise it:
+    it declines instead, and the scheduler falls back to preemption.
     """
 
 
@@ -274,6 +274,17 @@ class BlockManager:
     def can_allocate(self, num_tokens: int) -> bool:
         return self.blocks_needed(num_tokens) <= self.free_blocks
 
+    def pick_home(self, num_tokens: int) -> int | None:
+        """Device an allocation of ``num_tokens`` would land on (0), if any."""
+        return 0 if self.blocks_needed(num_tokens) <= len(self._free) else None
+
+    def pick_shared_home(
+        self, num_tokens: int, prefix_id: int, prefix_tokens: int, share_partial: bool
+    ) -> int | None:
+        """Device a prefix-sharing allocation would land on (0), if any."""
+        fits = self.can_allocate_shared(num_tokens, prefix_id, prefix_tokens, share_partial)
+        return 0 if fits else None
+
     def fits_at_all(self, num_tokens: int) -> bool:
         """Whether an empty pool could ever hold ``num_tokens`` tokens."""
         return self.blocks_needed(num_tokens) <= self._num_blocks
@@ -337,6 +348,7 @@ class BlockManager:
         prefix_id: int,
         prefix_tokens: int,
         share_partial: bool = False,
+        device: int | None = None,
     ) -> tuple[int, int]:
         """Build a block table mapping resident prefix blocks read-only.
 
@@ -349,6 +361,8 @@ class BlockManager:
         run's end extends the run over it and over every entry already
         resident past it.  Returns ``(fresh_blocks_taken, hit_tokens)``
         where ``hit_tokens`` counts the prefix KV tokens already resident.
+        ``device`` is accepted for the sharded manager's signature; a
+        single pool is device 0.
         """
         if seq_id in self._tables:
             raise KVCacheExhausted(f"sequence {seq_id} already holds blocks")
@@ -493,8 +507,12 @@ class BlockManager:
         self.rises += 1
         return taken
 
-    def allocate(self, seq_id: int, num_tokens: int) -> int:
-        """Reserve private blocks for ``num_tokens`` tokens; returns blocks taken."""
+    def allocate(self, seq_id: int, num_tokens: int, device: int | None = None) -> int:
+        """Reserve private blocks for ``num_tokens`` tokens; returns blocks taken.
+
+        ``device`` is accepted for the sharded manager's signature; a single
+        pool is device 0.
+        """
         if seq_id in self._tables:
             raise KVCacheExhausted(f"sequence {seq_id} already holds blocks")
         needed = self.blocks_needed(num_tokens)
@@ -553,52 +571,15 @@ class BlockManager:
             )
         return len(table)
 
-    def grow_many(self, grants: list[tuple[int, int]]) -> None:
-        """Append private blocks to several tables with one free-list take.
+    def grow_many(
+        self, due: list[Sequence], plan: Callable[[Sequence], int | None]
+    ) -> bool:
+        """Grant the KV growth of every sequence in ``due`` in one bulk grant.
 
-        ``grants`` lists ``(seq_id, num_blocks)`` pairs.  The outcome —
-        tables, free list, refcounts, :attr:`physical_allocs` and one
-        ``grow`` trace event per pair with its free count — is that of
-        :meth:`grow` called on each pair in order: the free list is a stack,
-        so one take of the summed count hands out the same ids in the same
-        order.  Every check :meth:`grow` makes runs on every pair before any
-        block is taken, so a bad pair or an over-draw leaves the pool as it
-        was.  One take is one :attr:`rises` bump.  Each pair's table is
-        looked up once, by the checks.
+        See :func:`grow_pools`, which this single-device pool shares with
+        :class:`~repro.serving.cluster.ShardedBlockManager`.
         """
-        tables = self._tables
-        targets: list[list[int]] = []
-        total = 0
-        for seq_id, num_blocks in grants:
-            table = tables.get(seq_id)
-            if table is None:
-                raise KVCacheExhausted(f"sequence {seq_id} holds no blocks to grow")
-            if num_blocks <= 0:
-                raise ValueError("num_blocks must be positive")
-            targets.append(table)
-            total += num_blocks
-        self._check_growth(total)
-        taken = self._take_free_blocks(total)
-        tracer = self.tracer
-        end = 0
-        for table, (seq_id, num_blocks) in zip(targets, grants):
-            start = end
-            end += num_blocks
-            table.extend(taken[start:end])
-            if tracer is not None:
-                # The free count that grow() on this pair would have left.
-                tracer.kv(
-                    "grow", seq_id, num_blocks, self.device_index,
-                    len(self._free) + total - end,
-                )
-
-    def _check_growth(self, total: int) -> None:
-        """Raise :class:`KVOverdraw` unless ``total`` blocks are free."""
-        if total > len(self._free):
-            raise KVOverdraw(
-                f"need {total} more blocks but only "
-                f"{len(self._free)}/{self._num_blocks} are free"
-            )
+        return grow_pools((self,), due, plan)
 
     def free(self, seq_id: int) -> int:
         """Release a sequence's table; returns blocks returned to the pool.
@@ -698,6 +679,91 @@ class BlockManager:
             )
 
 
+def grow_pools(
+    pools: tuple[BlockManager, ...] | list[BlockManager],
+    due: list[Sequence],
+    plan: Callable[[Sequence], int | None],
+) -> bool:
+    """The bulk grant: one plan pass and one assignment pass over ``due``.
+
+    *Plan.*  Each sequence's device is its ``home_device`` and its table is
+    looked up there (a missing one raises :class:`KVCacheExhausted` before
+    any block moves).  A decoding block crossing (a nonzero writable extent
+    the write position has reached) needs exactly one fresh block and moves
+    the extent to ``extent + block_size``; every other sequence gets what
+    ``plan(seq)`` returns — a block count (its extent becomes the end of
+    its grown table), 0 for nothing, or ``None`` to decline the whole grant.
+    The growth is summed per device.  *Check.*  The grant is declined
+    (``False``, nothing changed) when ``plan`` declines or some touched
+    device's sum exceeds its free blocks.  *Assignment.*  In ``due`` order,
+    each sequence's blocks are popped off its device's free list straight
+    into its table, its ``grow`` event carries the free count left after
+    its pops, and its new extent is recorded.  The outcome — tables, block
+    ids, refcounts, :attr:`BlockManager.physical_allocs` and events — is
+    that of successive :meth:`BlockManager.grow` calls in ``due`` order
+    (the free list is a stack); each touched device counts one
+    :attr:`BlockManager.rises` bump, and untouched pools are not visited.
+    """
+    block_size = pools[0].block_size
+    need = [0] * len(pools)
+    grants: list[tuple[Sequence, list[int], int, int, int]] = []
+    for seq in due:
+        request = seq.request
+        extent = seq.kv_writable_extent
+        if extent and request.prompt_tokens + seq.generated_tokens == extent:
+            n = 1
+            extent += block_size
+        else:
+            planned = plan(seq)
+            if not planned:
+                if planned is None:
+                    return False  # a copy-on-write is due
+                continue
+            n = planned
+            extent = 0  # set to the grown table's end below
+        device = seq.home_device
+        table = pools[device]._tables.get(request.request_id)
+        if table is None:
+            raise KVCacheExhausted(
+                f"sequence {request.request_id} holds no blocks to grow"
+            )
+        if not extent:
+            extent = (len(table) + n) * block_size
+        need[device] += n
+        grants.append((seq, table, device, n, extent))
+    if not grants:
+        return True
+    for device, total in enumerate(need):
+        if total > len(pools[device]._free):
+            return False  # an over-draw: the walk preempts instead
+    for seq, table, device, n, extent in grants:
+        pool = pools[device]
+        free = pool._free
+        ref = pool._ref
+        if n == 1:
+            block_id = free.pop()
+            ref[block_id] = 1
+            table.append(block_id)
+        else:
+            taken = free[-n:]
+            del free[-n:]
+            taken.reverse()
+            for block_id in taken:
+                ref[block_id] = 1
+            table += taken
+        seq.kv_writable_extent = extent
+        if pool.tracer is not None:
+            pool.tracer.kv(
+                "grow", seq.request.request_id, n, pool.device_index, len(free)
+            )
+    for device, total in enumerate(need):
+        if total:
+            pool = pools[device]
+            pool.physical_allocs += total
+            pool.rises += 1
+    return True
+
+
 class AllocationPolicy(abc.ABC):
     """Decides when KV blocks are taken from / returned to the physical pool.
 
@@ -759,17 +825,22 @@ class AllocationPolicy(abc.ABC):
 
     def can_admit(self, seq: Sequence) -> bool:
         """Whether the pool currently has room to admit the sequence."""
+        return self.admit_device(seq) is not None
+
+    def admit_device(self, seq: Sequence) -> int | None:
+        """The device the pool would admit the sequence on now (``None``: no
+        room).  Handing it to :meth:`admit` makes the admission pick once."""
         request = seq.request
         if request.prefix_id is None or seq.swapped_tokens:
-            return self.pool.can_allocate(self._admit_tokens(seq))
-        return self.pool.can_allocate_shared(
+            return self.pool.pick_home(self._admit_tokens(seq))
+        return self.pool.pick_shared_home(
             self._admit_tokens(seq),
             request.prefix_id,
             request.prefix_tokens,
             self._share_partial(seq),
         )
 
-    def admit(self, seq: Sequence) -> int:
+    def admit(self, seq: Sequence, device: int | None = None) -> int:
         """Allocate the sequence's admission-time blocks; returns blocks taken.
 
         Prefix-carrying requests map resident shared blocks read-only and
@@ -779,18 +850,20 @@ class AllocationPolicy(abc.ABC):
         takes private blocks instead: its KV is restored wholesale from host
         memory, not rebuilt by a prefill pass, so mapping index blocks
         read-only (and skipping prefill it will not run) would misstate what
-        the swap-in actually transfers.
+        the swap-in actually transfers.  ``device`` is :meth:`admit_device`'s
+        answer when the caller has it (``None``: the pool picks).
         """
         request = seq.request
         seq.kv_writable_extent = 0
         if request.prefix_id is None or seq.swapped_tokens:
-            return self.pool.allocate(request.request_id, self._admit_tokens(seq))
+            return self.pool.allocate(request.request_id, self._admit_tokens(seq), device)
         fresh, hit_tokens = self.pool.allocate_shared(
             request.request_id,
             self._admit_tokens(seq),
             request.prefix_id,
             request.prefix_tokens,
             self._share_partial(seq),
+            device,
         )
         seq.apply_prefix_hit(hit_tokens)
         return fresh
@@ -873,67 +946,49 @@ class OnDemandPolicy(AllocationPolicy):
         )
 
     def grow_due(self, due: list[Sequence], prefill_chunk: int | None = None) -> bool:
-        """Plan every due sequence's deficit, then grant the growth in bulk.
+        """Plan every due sequence's deficit and grant the growth in bulk.
 
-        The plan gives each sequence what :meth:`blocks_deficit` would: no
-        blocks mid-prefill chunk, ``blocks_needed(prompt + generated + 1) -
-        held`` private blocks when the write starts a fresh block, else a
-        zero deficit.  A decoding sequence crossing a block boundary is
-        planned without reading its table: every visit records the extent
-        as ``held * block_size`` (admission and release reset it to 0, and a
-        migration keeps the table's length), so a write at a nonzero extent
-        needs exactly one fresh private block and moves the extent to
-        ``extent + block_size`` (the scheduler's ``debug_checks`` audit that
-        identity).  It gives up (``False``, nothing changed) when a write
-        needs a copy-on-write block, or when some device's summed growth
-        exceeds its free blocks (:meth:`BlockManager.grow_many` raises
-        :class:`KVOverdraw` before any block moves; every other error of the
-        grant propagates) — exactly the iterations at which
-        the per-sequence walk would copy or preempt.  Otherwise the growth
-        is granted with that one ``grow_many`` call (one free-list take per
-        device, block ids in ``due`` order, as successive :meth:`grow` calls
-        would assign them), each zero-deficit visit gets
-        :meth:`blocks_deficit`'s prefix un-registration, and every visited
-        sequence records its writable extent.
+        One :meth:`BlockManager.grow_many` call (:func:`grow_pools`) plans
+        and grants it.  A decoding sequence crossing a block boundary is
+        planned there without reading this policy: every visit records the
+        extent as ``held * block_size`` (admission and release reset it to
+        0, and a migration keeps the table's length), so a write at a
+        nonzero extent needs exactly one fresh private block and moves the
+        extent to ``extent + block_size`` (the scheduler's ``debug_checks``
+        audit that identity).  Every other sequence gets what
+        :meth:`blocks_deficit` would give it: no blocks mid-prefill chunk,
+        ``blocks_needed(prompt + generated + 1) - held`` private blocks when
+        the write starts a fresh block, else a zero deficit.  The grant is
+        declined (``False``, nothing changed) when a write needs a
+        copy-on-write block or some device's summed growth exceeds its free
+        blocks — exactly the iterations at which the per-sequence walk would
+        copy or preempt.  Otherwise the block ids are assigned in ``due``
+        order, as successive :meth:`grow` calls would assign them, each
+        zero-deficit visit then gets :meth:`blocks_deficit`'s prefix
+        un-registration, and every visited sequence records its writable
+        extent.
         """
         pool = self.pool
         block_size = pool.block_size
-        grants: list[tuple[int, int]] = []
-        crossed: list[Sequence] = []
-        grown: list[tuple[Sequence, int]] = []
         in_place: list[tuple[Sequence, int, int]] = []
-        for seq in due:
-            request = seq.request
-            write_pos = request.prompt_tokens + seq.generated_tokens
-            extent = seq.kv_writable_extent
-            if extent and write_pos == extent:
-                # A block crossing: only a decoding sequence has an extent,
-                # and it ends the table, so the write starts one fresh block.
-                grants.append((request.request_id, 1))
-                crossed.append(seq)
-                continue
+
+        def plan(seq: Sequence) -> int | None:
             if not seq.emits_token_this_iteration(prefill_chunk):
-                continue
-            seq_id = request.request_id
+                return 0
+            seq_id = seq.request.request_id
+            write_pos = seq.request.prompt_tokens + seq.generated_tokens
             held = pool.blocks_held(seq_id)
             # blocks_needed(write_pos + 1) - held
             growth = write_pos // block_size + 1 - held
             if growth > 0:
-                grants.append((seq_id, growth))
-                grown.append((seq, (held + growth) * block_size))
-            elif pool.cow_cost(seq_id, write_pos):
-                return False
-            else:
-                in_place.append((seq, write_pos, held * block_size))
-        if grants:
-            try:
-                pool.grow_many(grants)
-            except KVOverdraw:
-                return False  # a device's summed growth exceeds its free blocks
-            for seq in crossed:
-                seq.kv_writable_extent += block_size
-            for seq, extent in grown:
-                seq.kv_writable_extent = extent
+                return growth
+            if pool.cow_cost(seq_id, write_pos):
+                return None
+            in_place.append((seq, write_pos, held * block_size))
+            return 0
+
+        if not pool.grow_many(due, plan):
+            return False
         for seq, write_pos, extent in in_place:
             pool.ensure_writable(seq.request.request_id, write_pos)
             seq.kv_writable_extent = extent

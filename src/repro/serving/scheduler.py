@@ -694,14 +694,16 @@ class ContinuousBatchingScheduler:
             head = self.waiting.peek()
             if self.decode_pool is not None:
                 self._steer(head)
-            if self.allocation.can_admit(head):
+            device = self.allocation.admit_device(head)
+            if device is not None:
                 self.waiting.pop()
-                self.allocation.admit(head)
-                # Record where the allocation landed: the pool picks the
-                # least-loaded fitting device (always 0 on a single pool),
-                # and the engine charges this sequence's attention tokens to
-                # that device.  A preempted sequence may re-home on resume.
-                head.home_device = self.block_manager.home_device(head.request.request_id)
+                # The fit test's device is where the allocation lands: the
+                # pool picks the least-loaded fitting device (always 0 on a
+                # single pool), and the engine charges this sequence's
+                # attention tokens to it.  A preempted sequence may re-home
+                # on resume.
+                self.allocation.admit(head, device)
+                head.home_device = device
                 head.placement_epoch = self.placement_epoch
                 head.admit(now)
                 head.admit_index = self._admit_counter
@@ -785,13 +787,14 @@ class ContinuousBatchingScheduler:
 
         1. *Bulk grant* (:meth:`_grant`, which the engine also reaches
            inside a stretch through :meth:`grant_boundaries`).  The
-           allocation policy plans every due sequence's deficit and, when
-           no write needs a copy-on-write block and every device's summed
-           growth fits its free blocks, grants all of it with one free-list
-           take per device
-           (:meth:`~repro.serving.kv_cache.AllocationPolicy.grow_due`).
-           Block ids, tables and trace events are those of step 2, which
-           would preempt nothing on such an iteration.
+           allocation policy
+           (:meth:`~repro.serving.kv_cache.AllocationPolicy.grow_due`) has
+           the block manager plan every due sequence's growth in one pass
+           (a decoding crossing is one block) and, when no write needs a
+           copy-on-write block and every device's summed growth fits its
+           free blocks, pop each block straight into its table in a second
+           pass.  Block ids, tables and trace events are those of step 2,
+           which would preempt nothing on such an iteration.
         2. *Fallback walk.*  Otherwise the sequences are visited one by one
            (:meth:`_walk_capacity`).  When the pool cannot cover a deficit,
            the scheduling policy picks victims from the lower-precedence
@@ -911,12 +914,19 @@ class ContinuousBatchingScheduler:
 
         The second check is what lets ``grow_due`` grant a decoding
         sequence's block crossing (write position at a nonzero extent) one
-        fresh block without reading its table.
+        fresh block without reading its table.  Every sequence's
+        ``home_device`` must also be the block manager's home for it: the
+        bulk grant finds the table there.
         """
         block_manager = self.block_manager
         block_size = block_manager.block_size
         for seq in self.running:
             seq_id = seq.request.request_id
+            if seq.home_device != block_manager.home_device(seq_id):
+                raise KVCacheExhausted(
+                    f"sequence {seq_id} is homed on device {seq.home_device} but "
+                    f"its blocks are on device {block_manager.home_device(seq_id)}"
+                )
             write_pos = seq.request.prompt_tokens + seq.generated_tokens
             extent = seq.kv_writable_extent
             if write_pos < extent and not block_manager.writable_in_place(seq_id, write_pos):

@@ -21,6 +21,7 @@ turn's start and inside a stretch.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import json
@@ -176,6 +177,16 @@ def test_boundary_walk_matches_full_walk(seed):
     assert report.completed + report.rejected + report.stranded == NUM_REQUESTS
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(len(SEEDS), len(SEEDS) + 200))
+def test_boundary_walk_matches_full_walk_long(seed):
+    """The long sweep of the same comparison (weekly benchmark-smoke run)."""
+    report, identical, calls, reference_calls = compare(seed)
+    assert identical
+    assert calls <= reference_calls
+    assert report.completed + report.rejected + report.stranded == NUM_REQUESTS
+
+
 def test_random_draws_cover_every_kv_event():
     """The seeds exercise what the extent must survive, and the walk skips."""
     results = [compare(seed) for seed in SEEDS]
@@ -282,6 +293,25 @@ class TestWritableExtent:
         assert scheduler.grant_boundaries()  # unaudited, the extent is trusted
         assert pool.blocks_held(0) == 4 and seq.kv_writable_extent == 12
 
+    def test_debug_checks_catch_a_stale_home_device(self):
+        # The bulk grant finds a sequence's table on its ``home_device``.
+        manager = ShardedBlockManager([BlockManager(8, 4), BlockManager(8, 4)])
+        scheduler = ContinuousBatchingScheduler(
+            manager, SchedulerConfig(), allocation=OnDemandPolicy(manager)
+        )
+        scheduler.debug_checks = True
+        seq = scheduler.add_request(Request(0, 0.0, prompt_tokens=5, max_new_tokens=8))
+        scheduler.admit(0.0)
+        home = seq.home_device
+        assert manager.home_device(0) == home
+        seq.home_device = 1 - home  # the scheduler's copy goes stale
+        with pytest.raises(KVCacheExhausted, match="homed on device"):
+            scheduler.ensure_capacity()
+        with pytest.raises(KVCacheExhausted, match="homed on device"):
+            scheduler.grant_boundaries()
+        seq.home_device = home
+        assert scheduler.ensure_capacity() == []
+
 
     def test_grow_due_declines_only_an_over_draw(self):
         # An over-draw declines the grant (the scheduler then walks), but a
@@ -347,47 +377,54 @@ class TestBlockManagerQueries:
 def spy_growth(engine):
     """Count the growth work of every bulk grant and capacity walk of a run.
 
-    ``bulk`` counts the block manager's ``grow_many`` calls, ``grants`` the
-    sequences they grew, ``bulk_takes`` the free-list takes those calls made
-    and ``spread`` the calls that took blocks on more than one device;
-    ``visits`` and ``grows`` count the per-sequence walk's
-    ``blocks_deficit`` and ``grow`` calls, and ``in_stretch`` the
-    scheduler's ``grant_boundaries`` calls inside a stretch.  Every bulk
-    grant — at a loop turn's start (``ensure_capacity``) or inside a
-    stretch (``grant_boundaries``), both through the scheduler's ``_grant``
-    — must take at most once per device.
+    ``bulk`` counts the bulk grants that took blocks, ``grants`` the
+    sequences whose tables they grew, ``bulk_takes`` the devices they took
+    from (each pool's ``rises`` bump once per grant that takes from it) and
+    ``spread`` the grants that took on more than one device; ``visits`` and
+    ``grows`` count the per-sequence walk's ``blocks_deficit`` and ``grow``
+    calls, and ``in_stretch`` the scheduler's ``grant_boundaries`` calls
+    inside a stretch.  Every bulk grant — at a loop turn's start
+    (``ensure_capacity``) or inside a stretch (``grant_boundaries``), both
+    through the scheduler's ``_grant`` and the block manager's
+    ``grow_many`` — must take at most once per device.
     """
     counts = dict(
         bulk=0, grants=0, bulk_takes=0, spread=0, visits=0, grows=0, in_stretch=0
     )
     manager = engine.block_manager
     pools = getattr(manager, "pools", [manager])
-    takes = [0] * len(pools)
 
-    def counted(name, call, record=None):
+    def counted(name, call):
         def wrapper(*args):
             counts[name] += 1
-            if record is not None:
-                record(*args)
             return call(*args)
 
         return wrapper
 
-    for d, pool in enumerate(pools):
-        take = pool._take_free_blocks
-
-        def counted_take(n, d=d, take=take):
-            if n > 0:  # a zero take hands out nothing and is no rise
-                takes[d] += 1
-            return take(n)
-
-        pool._take_free_blocks = counted_take
-
-    def record_bulk(grants):
-        counts["grants"] += len(grants)
-
     grow_many = manager.grow_many
-    manager.grow_many = counted("bulk", grow_many, record_bulk)
+
+    def spied_grow_many(due, plan):
+        held = [manager.blocks_held(seq.request.request_id) for seq in due]
+        rises = [pool.rises for pool in pools]
+        allocs = [pool.physical_allocs for pool in pools]
+        granted = grow_many(due, plan)
+        takes = [pool.rises - before for pool, before in zip(pools, rises)]
+        assert max(takes) <= 1, takes  # one bulk take per device
+        grown = [
+            manager.blocks_held(seq.request.request_id) - before
+            for seq, before in zip(due, held)
+        ]
+        assert sum(grown) == sum(
+            pool.physical_allocs - before for pool, before in zip(pools, allocs)
+        )
+        if sum(takes):
+            counts["bulk"] += 1
+            counts["grants"] += sum(1 for n in grown if n)
+            counts["bulk_takes"] += sum(takes)
+            counts["spread"] += sum(takes) > 1
+        return granted
+
+    manager.grow_many = spied_grow_many
     make_scheduler = engine.make_scheduler
 
     def spied_scheduler():
@@ -396,25 +433,95 @@ def spy_growth(engine):
         allocation.blocks_deficit = counted("visits", allocation.blocks_deficit)
         allocation.grow = counted("grows", allocation.grow)
         scheduler.grant_boundaries = counted("in_stretch", scheduler.grant_boundaries)
-        grant = scheduler._grant
-
-        def spied_grant(due):
-            takes[:] = [0] * len(takes)
-            granted = grant(due)
-            assert max(takes) <= 1, takes  # one bulk take per device
-            counts["bulk_takes"] += sum(takes)
-            counts["spread"] += sum(takes) > 1
-            return granted
-
-        scheduler._grant = spied_grant
         return scheduler
 
     engine.make_scheduler = spied_scheduler
     return counts
 
 
+def placed(manager, seq_id, tokens, device):
+    """Allocate ``tokens`` for ``seq_id`` on ``device`` of a sharded manager."""
+    manager.admit_devices = (device,)
+    manager.allocate(seq_id, tokens)
+    manager.admit_devices = None
+
+
+def due_sequence(seq_id, write_pos, extent, home):
+    """A decoding sequence whose next write is at ``write_pos``."""
+    seq = Sequence(Request(seq_id, 0.0, prompt_tokens=write_pos, max_new_tokens=64))
+    seq.admit(0.0)
+    seq.prefill_done = True
+    seq.kv_writable_extent = extent
+    seq.home_device = home
+    return seq
+
+
 class TestBulkGrant:
     """Boundary growth is granted with one free-list take per device."""
+
+    @pytest.mark.parametrize("devices", [1, 4])
+    def test_first_visit_growth_interleaved_with_crossings(self, devices):
+        # On one device, in due order: a crossing, a first visit whose write
+        # lies two blocks past its one-block table, another crossing, and
+        # (on 4 pools) a crossing on another device in between.
+        if devices == 1:
+            manager = BlockManager(num_blocks=16, block_size=4)
+            manager.allocate(0, 8)
+            manager.allocate(1, 4)
+            manager.allocate(2, 8)
+            extra = []
+        else:
+            manager = ShardedBlockManager([BlockManager(16, 4) for _ in range(4)])
+            for seq_id, tokens in ((0, 8), (1, 4), (2, 8)):
+                placed(manager, seq_id, tokens, 2)
+            placed(manager, 3, 8, 1)
+            extra = [due_sequence(3, 8, 8, 1)]
+        tracer = Tracer()
+        for pool in getattr(manager, "pools", [manager]):
+            pool.tracer = tracer
+        home = manager.home_device(0)
+        due = [
+            due_sequence(0, 8, 8, home),
+            *extra,
+            due_sequence(1, 9, 0, home),  # first visit: blocks 1 and 2
+            due_sequence(2, 8, 8, home),
+        ]
+        twin = copy.deepcopy(manager)
+        twin_tracer = getattr(twin, "pools", [twin])[0].tracer
+        assert OnDemandPolicy(manager).grow_due(due)
+        for seq in due:
+            seq_id = seq.request.request_id
+            twin.grow(seq_id, 2 if seq_id == 1 else 1)
+            assert seq.kv_writable_extent == 12
+        for seq_id in range(len(due)):
+            assert manager.block_table(seq_id) == twin.block_table(seq_id)
+        for pool, twin_pool in zip(
+            getattr(manager, "pools", [manager]), getattr(twin, "pools", [twin])
+        ):
+            assert pool._free == twin_pool._free
+            assert pool.physical_allocs == twin_pool.physical_allocs
+        grows = [e for e in tracer.events if e["op"] == "grow"]
+        assert grows == [e for e in twin_tracer.events if e["op"] == "grow"]
+        assert [e["seq"] for e in grows] == [seq.request.request_id for seq in due]
+        assert manager.block_table(1)[1:] == (
+            manager.block_table(0)[-1] + 1, manager.block_table(0)[-1] + 2
+        )
+
+    def test_an_over_draw_on_one_device_moves_nothing_anywhere(self):
+        manager = ShardedBlockManager([BlockManager(4, 4) for _ in range(4)])
+        for device in range(4):
+            placed(manager, device, 8 if device < 3 else 16, device)
+        due = [due_sequence(d, 8 if d < 3 else 16, 8 if d < 3 else 16, d) for d in range(4)]
+        before = copy.deepcopy(
+            [(pool._tables, pool._free, pool._ref) for pool in manager.pools]
+        )
+        rises = [pool.rises for pool in manager.pools]
+        allocs = [pool.physical_allocs for pool in manager.pools]
+        assert not OnDemandPolicy(manager).grow_due(due)  # device 3 is full
+        assert [(pool._tables, pool._free, pool._ref) for pool in manager.pools] == before
+        assert [pool.rises for pool in manager.pools] == rises
+        assert [pool.physical_allocs for pool in manager.pools] == allocs
+        assert [seq.kv_writable_extent for seq in due] == [8, 8, 8, 16]
 
     def test_grow_events_keep_global_order_across_devices(self):
         # Six equal requests admitted together on two colocated devices:

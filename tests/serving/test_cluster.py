@@ -310,6 +310,40 @@ class TestShardedBlockManager:
         assert pool.sequences() == (0,)
 
 
+class TestAdmissionPicksOnce:
+    @pytest.mark.parametrize("prefix_id", [None, 0])
+    def test_each_admission_picks_its_home_once(self, prefix_id):
+        """The fit test's device is handed to the allocation: one home pick
+        per admitted request, landing where the pick said."""
+        manager = sharded([16, 16, 16])
+        calls = []
+        for name in ("pick_home", "pick_shared_home"):
+            pick = getattr(manager, name)
+
+            def counted(*args, pick=pick):
+                device = pick(*args)
+                calls.append(device)
+                return device
+
+            setattr(manager, name, counted)
+        sched = ContinuousBatchingScheduler(
+            manager,
+            SchedulerConfig(max_batch_size=8),
+            allocation=make_allocation_policy("ondemand", manager),
+        )
+        seqs = [
+            sched.add_request(
+                Request(i, 0.0, 8, 4, prefix_id=prefix_id,
+                        prefix_tokens=8 if prefix_id is not None else 0)
+            )
+            for i in range(4)
+        ]
+        admitted = sched.admit(now=0.0)
+        assert admitted == seqs and len(calls) == 4
+        assert [seq.home_device for seq in seqs] == calls
+        assert calls == [manager.home_device(i) for i in range(4)]
+
+
 class TestPlacementAwarePreemption:
     def test_victim_shares_the_growers_home_device(self):
         """Preempting a sequence on another device frees nothing usable;

@@ -9,13 +9,14 @@ of seeded random ``allocate`` / ``allocate_shared`` / ``grow`` / CoW /
 ``free`` steps, calling ``check_invariants()`` after *every* operation, plus
 the cross-device invariant: a sequence's block table lives in exactly its
 home pool, never references a block outside it, and no other pool knows the
-sequence.  A multi-sequence ``grow_many`` op is checked against successive
+sequence.  A multi-sequence ``grow_many`` grant (decoding crossings and planned
+growth) is checked against successive
 ``grow`` calls on a twin manager (tables, free lists, refcounts,
 ``physical_allocs`` and, when a tracer is attached, the traced ``kv``
 events must match — the episodes run both traced and untraced, since the
 bulk take emits its per-grant events only when a tracer is attached), and a
-``grow_many`` that over-draws or names an unknown sequence must fail
-without touching the manager.  After every op, every pool's
+``grow_many`` that over-draws, whose plan declines or that names an unknown
+sequence must fail without touching the manager.  After every op, every pool's
 ``prefix_hits`` (the resident-run count) must equal the linear walk of the
 prefix index it replaced (:func:`scan_prefix_hits`), for every prefix id,
 with and without a shared partial tail.
@@ -38,10 +39,12 @@ from repro.serving import (
     EngineConfig,
     ServingEngine,
     ShardedBlockManager,
+    Request,
     Tracer,
     poisson_workload,
 )
 from repro.serving.kv_cache import KVCacheExhausted
+from repro.serving.request import Sequence
 
 BLOCK_SIZE = 4
 
@@ -91,15 +94,30 @@ def pool_state(manager):
     ] + [getattr(manager, "_home", None)]
 
 
+def bulk_sequence(seq_id, blocks, home):
+    """A sequence due for ``blocks`` blocks of growth on device ``home``.
+
+    One block is asked for as a decoding crossing (the write position has
+    reached a nonzero writable extent, the path that never calls the
+    plan); two come from the grant's ``plan`` callback.
+    """
+    crossing = blocks == 1
+    seq = Sequence(Request(seq_id, 0.0, BLOCK_SIZE if crossing else 1, 1))
+    seq.kv_writable_extent = BLOCK_SIZE if crossing else 0
+    seq.home_device = home
+    return seq
+
+
 def check_bulk_grow(manager, tracer, rng, live, unknown_id):
-    """One multi-sequence ``grow_many`` op against successive ``grow`` calls.
+    """One multi-sequence ``grow_many`` grant against successive ``grow`` calls.
 
     The twin is a deep copy of the manager (its tracer, if any, included)
     taken just before the op; ``tracer`` is ``None`` on an untraced
     manager.  Returns how the op went: ``"grown"`` on one device,
-    ``"spread"`` over several, or the injected fault — ``"unknown"``
-    sequence, ``"zero"`` count or ``"overdraw"`` — which must raise and leave the manager, its rise counter and the trace
-    exactly as they were.
+    ``"spread"`` over several, or the injected fault — an ``"unknown"``
+    sequence (must raise), a ``"declined"`` plan or an ``"overdraw"`` (must
+    return ``False``) — which must leave the manager, its rise counter, the
+    sequences' extents and the trace exactly as they were.
     """
     seq_ids = rng.choice(sorted(live), size=int(rng.integers(2, 5)))
     grants = [(int(seq_id), int(rng.integers(1, 3))) for seq_id in seq_ids]
@@ -109,29 +127,44 @@ def check_bulk_grow(manager, tracer, rng, live, unknown_id):
     for seq_id, blocks in grants:
         home = manager.home_device(seq_id)
         need[home] = need.get(home, 0) + blocks
+    due = [
+        bulk_sequence(seq_id, blocks, manager.home_device(seq_id))
+        for seq_id, blocks in grants
+    ]
+    planned = {id(seq): blocks for seq, (_, blocks) in zip(due, grants)}
     if fault == 0:
-        grants.insert(pos, (unknown_id, 1))
+        due.insert(pos, bulk_sequence(unknown_id, 1, 0))
         outcome, error = "unknown", KVCacheExhausted
     elif fault == 1:
-        grants[pos] = (grants[pos][0], 0)
-        outcome, error = "zero", ValueError
+        planned[id(due[pos])] = None  # a copy-on-write: the plan declines
+        due[pos].kv_writable_extent = 0
+        outcome, error = "declined", None
     elif any(blocks > manager.free_blocks_on(d) for d, blocks in need.items()):
-        outcome, error = "overdraw", KVCacheExhausted
+        outcome, error = "overdraw", None
     else:
         outcome, error = "spread" if len(need) > 1 else "grown", None
     events = len(tracer.events) if tracer is not None else 0
     rises = manager.rises
-    if error is not None:
+    extents = [seq.kv_writable_extent for seq in due]
+
+    def plan(seq):
+        return planned[id(seq)]
+
+    if outcome not in ("grown", "spread"):
         before = copy.deepcopy(pool_state(manager))
-        with pytest.raises(error):
-            manager.grow_many(grants)
+        if error is not None:
+            with pytest.raises(error):
+                manager.grow_many(due, plan)
+        else:
+            assert manager.grow_many(due, plan) is False
         assert pool_state(manager) == before
         assert manager.rises == rises
+        assert [seq.kv_writable_extent for seq in due] == extents
         assert tracer is None or len(tracer.events) == events
         return outcome
     twin = copy.deepcopy(manager)
     twin_tracer = pools_of(twin)[0].tracer
-    manager.grow_many(grants)
+    assert manager.grow_many(due, plan) is True
     for seq_id, blocks in grants:
         twin.grow(seq_id, blocks)
         live[seq_id] += blocks * BLOCK_SIZE
@@ -140,6 +173,12 @@ def check_bulk_grow(manager, tracer, rng, live, unknown_id):
         assert tracer.events[events:] == twin_tracer.events[events:]
         assert len(tracer.events) - events == len(grants)
     assert manager.rises - rises == len(need)  # one bulk take per device
+    unique = collections.Counter(seq_id for seq_id, _ in grants)
+    for seq, extent, (seq_id, blocks) in zip(due, extents, grants):
+        if blocks == 1:
+            assert seq.kv_writable_extent == extent + BLOCK_SIZE  # a crossing
+        elif unique[seq_id] == 1:
+            assert seq.kv_writable_extent == manager.blocks_held(seq_id) * BLOCK_SIZE
     return outcome
 
 
@@ -285,7 +324,7 @@ class TestRandomOpSequences:
         assert applied > 400
         assert bulk["grown"] + bulk["spread"] > 15
         assert bulk["spread"] > 5 or layout == "single"
-        assert bulk["unknown"] and bulk["zero"] and bulk["overdraw"]
+        assert bulk["unknown"] and bulk["declined"] and bulk["overdraw"]
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("seed", [0, 1])
@@ -294,7 +333,7 @@ class TestRandomOpSequences:
         assert applied > 400
         assert bulk["grown"] + bulk["spread"] > 15
         assert bulk["spread"] > 5 or layout == "single"
-        assert bulk["unknown"] and bulk["zero"] and bulk["overdraw"]
+        assert bulk["unknown"] and bulk["declined"] and bulk["overdraw"]
 
 
 @pytest.mark.slow

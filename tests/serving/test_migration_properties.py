@@ -194,7 +194,7 @@ class TestRandomMigrationSequences:
         # bulk grows over migrated tables must succeed and fail each way.
         assert migrations > 50
         assert bulk["spread"] > 5
-        assert bulk["unknown"] and bulk["zero"] and bulk["overdraw"]
+        assert bulk["unknown"] and bulk["declined"] and bulk["overdraw"]
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("seed", [0, 1])
@@ -202,7 +202,7 @@ class TestRandomMigrationSequences:
         migrations, bulk = drive_migration_ops(layout, seed=seed, steps=1200, traced=False)
         assert migrations > 50
         assert bulk["spread"] > 5
-        assert bulk["unknown"] and bulk["zero"] and bulk["overdraw"]
+        assert bulk["unknown"] and bulk["declined"] and bulk["overdraw"]
 
 
 @pytest.mark.slow
