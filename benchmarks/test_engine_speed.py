@@ -16,7 +16,7 @@ backend (A100-40GB devices):
   stresses the per-event path;
 * ``replay_100k_qps2_overlap`` — the qps-2 trace on a 4-device group under
   the overlap-aware layered cost model (``overlap=True``): exercises the
-  epoch-keyed per-layer cost memo and the multi-device stretches;
+  per-layer cost memo and the multi-device stretches;
 * ``replay_100k_qps2_disagg`` — the qps-2 trace on a 4-device group split
   ``--disagg 1:3``: every request pays a prefill→decode KV handoff between
   long decode stretches (reserve KV, so events are sparse); this

@@ -227,7 +227,7 @@ def run_overlap_scaling():
     overlap rows additionally model the per-layer truth (depth-varying skew,
     rotated hot expert — :func:`fig3_layer_frequencies`), hide each layer's
     all-to-all under the next layer's compute, and re-pack layers whose
-    measured routing drifts from the profile (pricing the moved expert
+    true routing drifts from the profile (pricing the moved expert
     weights over the interconnect).  Overlap hides most of the
     communication and flattens the per-layer stragglers the whole-model
     placement cannot see, so sustained QPS rises and the straggler ratio

@@ -49,8 +49,8 @@ the weights leave free, and a deterministic discrete-event clock.
    (Fig. 3 skew differs by layer) and its all-to-all dispatch overlaps
    with the next layer's compute, scaled by the device's
    ``overlap_efficiency``.  With a replacement threshold the engine also
-   re-packs layers whose measured routing drifts from the offline
-   profile, paying an expert-weight migration stall over the
+   re-packs, once per run, the layers whose true routing drifts from the
+   offline profile, paying an expert-weight migration stall over the
    interconnect.  The JSON report gains an ``overlap`` section::
 
        "overlap": {

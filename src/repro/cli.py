@@ -436,11 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="TV",
-        help="with --overlap: re-pack a layer's experts (LPT) when its "
-        "measured routing frequencies drift more than this total-variation "
-        "distance from the profile its placement was packed for; moved "
-        "expert weights are priced over the interconnect as a migration "
-        "stall (default: dynamic re-placement off)",
+        help="with --overlap: once per run, after the first few batch "
+        "compositions, re-pack a layer's experts (LPT) when its true routing "
+        "frequencies drift more than this total-variation distance from the "
+        "profile its placement was packed for; moved expert weights are "
+        "priced over the interconnect as a migration stall (default: "
+        "dynamic re-placement off)",
     )
     workload_source = s.add_mutually_exclusive_group()
     workload_source.add_argument(

@@ -46,11 +46,12 @@ Memory and scheduling decisions are *policies*, not hard-wired behavior:
   depth), its own max-over-devices compute term, and its all-to-all
   overlaps with the next layer's compute
   (:func:`~repro.serving.cost.overlap_step_seconds`, scaled by the
-  device's ``overlap_efficiency``).  A :class:`RoutingDriftTracker` window
-  optionally re-packs drifted layers at run time
-  (``EngineConfig.replacement_threshold``), pricing moved expert weights
-  over the interconnect (:func:`expert_migration_seconds`); the report
-  gains an ``overlap`` section.  With ``overlap=False`` (default) the
+  device's ``overlap_efficiency``).  With
+  ``EngineConfig.replacement_threshold`` each run makes one re-placement
+  decision, re-packing the layers whose true routing drifted from the
+  offline profile and pricing moved expert weights over the interconnect
+  (:func:`expert_migration_seconds`); the report gains an ``overlap``
+  section.  With ``overlap=False`` (default) the
   serial whole-model cost model is untouched, byte for byte.  Every mode
   is priced by one :class:`~repro.serving.cost.CostModel` over the
   engine's pools × layers.
@@ -118,7 +119,6 @@ from .cluster import (
     ExpertPlacement,
     FrequencyPlacement,
     LayeredExpertPlacement,
-    RoutingDriftTracker,
     ShardedBlockManager,
     expert_migration_seconds,
     make_expert_placement,
@@ -191,7 +191,6 @@ __all__ = [
     "BalancedPlacement",
     "FrequencyPlacement",
     "LayeredExpertPlacement",
-    "RoutingDriftTracker",
     "PLACEMENT_POLICIES",
     "make_expert_placement",
     "split_tokens",

@@ -53,7 +53,6 @@ __all__ = [
     "BalancedPlacement",
     "FrequencyPlacement",
     "LayeredExpertPlacement",
-    "RoutingDriftTracker",
     "PLACEMENT_POLICIES",
     "make_expert_placement",
     "expert_migration_seconds",
@@ -198,8 +197,8 @@ class LayeredExpertPlacement:
     from the offline profile's placement (``base``, what a single-distribution
     profiling pass yields), and evaluates each layer's *effective* device
     mass under that layer's true routing frequencies (``layer_frequencies``).
-    The gap between the two is exactly what the engine's drift detector
-    measures and :meth:`repack_drifted` closes at run time.
+    The gap between the two is what :meth:`repack_drifted` closes at run
+    time.
     """
 
     def __init__(
@@ -229,12 +228,12 @@ class LayeredExpertPlacement:
         self.name = base.name
         #: True per-layer routing frequencies (normalized rows).
         self.layer_frequencies: tuple[tuple[float, ...], ...] = tuple(rows)
+        #: Frequencies of the offline profile every layer was seeded from —
+        #: the drift baseline.
+        self.profile: tuple[float, ...] = base.frequencies
         #: Expert→device assignment per layer (seeded from the profile-built
         #: base placement, re-packed per layer as drift is detected).
         self.assignments: list[tuple[int, ...]] = [base.assignment] * len(rows)
-        #: Frequencies each layer's current assignment was packed for — the
-        #: drift baseline (the offline profile until the first re-placement).
-        self.packed_from: list[tuple[float, ...]] = [base.frequencies] * len(rows)
         self._recompute_mass()
 
     @property
@@ -260,23 +259,21 @@ class LayeredExpertPlacement:
     ) -> int:
         """Re-run LPT packing for layers whose routing drifted past ``threshold``.
 
-        ``measured`` holds one normalized frequency row per layer (from a
-        :class:`RoutingDriftTracker` window).  A layer is re-packed when the
-        total-variation distance between its measured frequencies and the
-        frequencies its current assignment was packed for exceeds
-        ``threshold``.  Returns the number of ``(layer, expert)`` weight
-        shards that changed device — the unit the engine prices migration in.
-        Layers that drifted but repack to the identical assignment update
-        their baseline without counting moves.
+        ``measured`` holds one normalized frequency row per layer.  A layer
+        is re-packed for its row when the total-variation distance between
+        the row and the offline :attr:`profile` exceeds ``threshold``.
+        Returns the number of ``(layer, expert)`` weight shards that changed
+        device — the unit the engine prices migration in — so repeating a
+        call with the same rows moves nothing.
         """
         if len(measured) != self.num_layers:
             raise ValueError(
                 f"measured has {len(measured)} rows, expected {self.num_layers}"
             )
         moved = 0
+        profile = self.profile
         for layer, row in enumerate(measured):
-            baseline = self.packed_from[layer]
-            drift = 0.5 * sum(abs(m - p) for m, p in zip(row, baseline))
+            drift = 0.5 * sum(abs(m - p) for m, p in zip(row, profile))
             if drift <= threshold:
                 continue
             new_assignment = FrequencyPlacement(row, self.num_devices).assignment
@@ -284,62 +281,9 @@ class LayeredExpertPlacement:
                 1 for a, b in zip(new_assignment, self.assignments[layer]) if a != b
             )
             self.assignments[layer] = new_assignment
-            self.packed_from[layer] = tuple(row)
         if moved:
             self._recompute_mass()
         return moved
-
-
-class RoutingDriftTracker:
-    """Sliding window of measured per-layer routing, for dynamic re-placement.
-
-    The engine feeds it the batch token count at every iteration whose batch
-    composition changed; after ``window`` observations the accumulated
-    per-layer expert token counts are normalized into measured frequencies
-    and compared (by the engine, via
-    :meth:`LayeredExpertPlacement.repack_drifted`) against the frequencies
-    the current placements were packed for.  The simulator's router is
-    deterministic — each observed batch routes its tokens in expectation, so
-    the counts are ``tokens × layer frequency`` — but the window/normalize
-    machinery is exactly what a counter-based production drift detector runs
-    on sampled router statistics.
-    """
-
-    def __init__(
-        self,
-        layer_frequencies: SequenceType[SequenceType[float]],
-        window: int = 64,
-    ) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if len(layer_frequencies) == 0:
-            raise ValueError("layer_frequencies must be non-empty")
-        self.window = window
-        self._layer_frequencies = tuple(tuple(row) for row in layer_frequencies)
-        self._observed_tokens = 0
-        self._observations = 0
-
-    @property
-    def window_full(self) -> bool:
-        return self._observations >= self.window
-
-    def observe(self, tokens: int) -> None:
-        """Record one batch's routed token counts (``tokens`` ≥ 1)."""
-        self._observed_tokens += tokens
-        self._observations += 1
-
-    def measured(self) -> list[tuple[float, ...]]:
-        """Normalized per-layer frequencies of the window's counts."""
-        if self._observed_tokens <= 0:
-            raise ValueError("no tokens observed in the current window")
-        # counts[layer][e] = observed_tokens * freq[layer][e]; normalizing
-        # divides the scalar back out, leaving the per-layer frequencies.
-        return [tuple(row) for row in self._layer_frequencies]
-
-    def reset(self) -> None:
-        """Start a fresh window (called after each drift decision)."""
-        self._observed_tokens = 0
-        self._observations = 0
 
 
 def expert_migration_seconds(

@@ -41,13 +41,13 @@ __all__ = ["CostModel", "IterationCost", "overlap_step_seconds"]
 #: unbounded in principle, so the footprint stays flat on adversarial loads.
 MEMO_LIMIT = 262144
 
-#: Home-independent half of one layered iteration, memoized per
-#: ``(tokens, placement_epoch)``: each layer's per-device token loads (an
-#: int64 ``layers x devices`` array from one row-wise split), each layer's
-#: critical-path compute (a float64 array), the summed max and loaded-mean
-#: computes, and the per-device compute sums.  Those sums add in layer order
-#: and each layer's loaded-device sum in device order, never pairwise.  A few
-#: hundred distinct token counts occur per thousand requests.
+#: Home-independent half of one layered iteration, memoized per token
+#: count: each layer's per-device token loads (an int64 ``layers x devices``
+#: array from one row-wise split), each layer's critical-path compute (a
+#: float64 array), the summed max and loaded-mean computes, and the
+#: per-device compute sums.  Those sums add in layer order and each layer's
+#: loaded-device sum in device order, never pairwise.  A few hundred
+#: distinct token counts occur per thousand requests.
 LayerSplit = tuple[
     npt.NDArray[np.int64], npt.NDArray[np.float64], float, float, tuple[float, ...]
 ]
@@ -144,22 +144,25 @@ class CostModel:
         self._mass: npt.NDArray[np.float64] | None = (
             np.array(self.layers.layer_mass) if self.layers is not None else None
         )
-        #: Bumped at every dynamic re-placement: a re-packed layer changes
-        #: every layered cost, so epochs must not share memo entries.
+        #: Bumped at every dynamic re-placement that moves experts; the
+        #: engine stamps it onto later admissions.
         self.epoch = 0
         #: Fraction of each layer boundary's hideable communication hidden.
         self.efficiency = min(1.0, max(0.0, backend.device.overlap_efficiency))
         #: Whole-model step latency per token load — pure in the load for a
         #: fixed backend/spec, so it persists across runs and re-placements.
         self._latency: dict[int, float] = {}
-        self._memo: dict[tuple[int, tuple[int, ...] | None, int], IterationCost] = {}
-        self._splits: dict[tuple[int, int], LayerSplit] = {}
+        #: Prices of the current layout, keyed ``(tokens, home_key)``, and
+        #: its layered splits, keyed by token count; a re-placement that
+        #: moves experts (and :meth:`reset` after one) clears both.
+        self._memo: dict[tuple[int, tuple[int, ...] | None], IterationCost] = {}
+        self._splits: dict[int, LayerSplit] = {}
 
     def reset(self) -> None:
         """Undo dynamic re-placement: pristine layers, epoch 0, fresh memos.
 
         Later runs must start from the same layout (run-to-run determinism),
-        and epoch-tagged memo keys would otherwise alias across runs.
+        and the memos would otherwise price the re-placed one.
         """
         if self.epoch > 0:
             assert self._layer_rows is not None  # only the layered model re-places
@@ -173,13 +176,15 @@ class CostModel:
         """Re-pack the layers whose routing drifted past ``threshold``.
 
         Returns the number of ``(layer, expert)`` shards that moved; any
-        move opens a new placement epoch.
+        move opens a new placement epoch and clears the memos.
         """
         assert self.layers is not None, "re-placement needs the layered model"
         moved = self.layers.repack_drifted(measured, threshold)
         if moved:
             self._mass = np.array(self.layers.layer_mass)
             self.epoch += 1
+            self._memo.clear()
+            self._splits.clear()
         return moved
 
     def latency(self, load: int) -> float:
@@ -196,7 +201,7 @@ class CostModel:
         ``home_key`` holds the batch's token rows per home device (its KV
         location); ``None`` on a single device, where every token is home.
         """
-        key = (tokens, home_key, self.epoch)
+        key = (tokens, home_key)
         entry = self._memo.get(key)
         if entry is None:
             homes = home_key or (tokens,)
@@ -253,7 +258,7 @@ class CostModel:
         under the next layer's compute through :func:`overlap_step_seconds`.
 
         Only the dispatch terms depend on the home mix, so a miss reuses the
-        ``(tokens, epoch)`` split of :meth:`layer_split`.
+        per-token-count split of :meth:`layer_split`.
         """
         loads, computes, max_compute, mean_compute, per_device = self.layer_split(tokens)
         experts_per_token = self.spec.experts_per_token
@@ -286,8 +291,7 @@ class CostModel:
         :data:`LayerSplit`): per-device compute at a load is the whole-model
         latency divided by ``num_layers``, so layers that all split alike
         reproduce the serial device costs."""
-        key = (tokens, self.epoch)
-        entry = self._splits.get(key)
+        entry = self._splits.get(tokens)
         if entry is not None:
             return entry
         assert self._mass is not None
@@ -315,5 +319,5 @@ class CostModel:
         )
         if len(self._splits) >= MEMO_LIMIT:
             self._splits.clear()
-        self._splits[key] = entry
+        self._splits[tokens] = entry
         return entry

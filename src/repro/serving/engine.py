@@ -97,7 +97,6 @@ from .cluster import (
     PLACEMENT_POLICIES,
     DeviceGroup,
     ExpertPlacement,
-    RoutingDriftTracker,
     ShardedBlockManager,
     expert_migration_seconds,
     make_expert_placement,
@@ -225,11 +224,10 @@ REPORT_SCHEMA_KEYS: frozenset[str] = frozenset(
     }
 )
 
-#: Batch-composition changes per drift-detection window of the overlap
-#: mode's dynamic re-placement (a sliding window of measured routing).
-#: Small enough that a workload whose routing disagrees with the offline
-#: profile is re-placed early in the run, large enough that one odd batch
-#: cannot trigger a migration storm.
+#: Distinct consecutive batch compositions the overlap mode serves before
+#: its one dynamic re-placement decision per run: small enough that a
+#: workload whose routing disagrees with the offline profile is re-placed
+#: early in the run.
 DRIFT_WINDOW = 16
 
 
@@ -462,11 +460,12 @@ class EngineConfig:
     #: Requires ``overlap=True``.
     layer_frequencies: tuple | None = None
     #: Total-variation drift threshold triggering dynamic expert
-    #: re-placement: when a layer's measured routing frequencies drift more
-    #: than this from the profile its placement was packed for, the layer is
-    #: re-packed (LPT) and the moved expert weights are priced over the
-    #: interconnect.  ``None`` (default) disables re-placement.  Requires
-    #: ``overlap=True``.
+    #: re-placement: when a layer's true routing frequencies (the normalized
+    #: ``layer_frequencies`` rows) drift more than this from the offline
+    #: profile its placement was packed for, the layer is re-packed (LPT)
+    #: once per run, after :data:`DRIFT_WINDOW` distinct batch compositions,
+    #: and the moved expert weights are priced over the interconnect.
+    #: ``None`` (default) disables re-placement.  Requires ``overlap=True``.
     replacement_threshold: float | None = None
     #: Run the KV pool's structural self-checks (``assert_no_leaks`` /
     #: ``check_invariants``) at the end of every run, and audit at every
@@ -692,7 +691,6 @@ class ServingEngine:
 
         # -- overlap-aware layered cost model --------------------------------
         self._overlap = self.config.overlap
-        self._drift: RoutingDriftTracker | None = None
         rows: list[tuple[float, ...]] | None = None
         if self._overlap:
             if self.config.layer_frequencies is not None:
@@ -716,8 +714,6 @@ class ServingEngine:
                 * 1024**3
                 / (spec.num_experts * spec.num_layers)
             )
-            if self.config.replacement_threshold is not None:
-                self._drift = RoutingDriftTracker(rows, window=DRIFT_WINDOW)
         #: Prices every iteration; owns the latency and cost memos, the
         #: layered placement and its re-placement epoch.
         self.cost_model = CostModel(backend, spec, placements, rows)
@@ -900,8 +896,6 @@ class ServingEngine:
         # Dynamic re-placement mutates the layered placement mid-run; every
         # run() starts from the pristine one (run-to-run determinism).
         self.cost_model.reset()
-        if self._drift is not None:
-            self._drift.reset()
         totals = self._run(pending, scheduler)
         if self.tracer is not None:
             self.tracer.now = totals.clock  # strand events carry the final clock
@@ -920,36 +914,9 @@ class ServingEngine:
                 if self._disagg or self.config.preempt_mode == "swap"
                 else None
             ),
-            first_submitted=pending[0].arrival_time if pending else None,
+            # Read only when a request finished, so never for an empty run.
+            first_submitted=pending[0].arrival_time if pending else 0.0,
             num_submitted=len(pending),
-        )
-
-    def _observe_routing(
-        self, tokens: int, scheduler: ContinuousBatchingScheduler
-    ) -> float:
-        """Feed one iteration's routing into the drift tracker; maybe re-place.
-
-        Called once per *distinct* batch composition (every iteration of a
-        stretch repeats the composition its loop turn observed, and a turn
-        whose observation re-places advances a single iteration).  When the
-        sliding window fills, compares measured per-layer frequencies
-        against the profile each layer's placement was packed for and
-        re-packs drifted layers, returning the migration stall (seconds) to
-        add to the clock — 0.0 when nothing moved.
-        """
-        drift = self._drift
-        drift.observe(tokens)
-        if not drift.window_full:
-            return 0.0
-        measured = drift.measured()
-        drift.reset()
-        moved = self.cost_model.repack(measured, self.config.replacement_threshold)
-        if not moved:
-            return 0.0
-        # The new epoch is stamped onto sequences admitted from now on.
-        scheduler.placement_epoch = self.cost_model.epoch
-        return expert_migration_seconds(
-            moved, self._expert_layer_bytes, self.backend.device.interconnect_bandwidth
         )
 
     def _transfer(self, kind: str, move: KVMove, clock: float, totals: RunTotals) -> float:
@@ -991,6 +958,11 @@ class ServingEngine:
         finish is due; the KV peaks are re-read only after
         ``block_manager.rises`` moved.
 
+        With a ``replacement_threshold``, the turns count distinct
+        consecutive batch compositions; at the :data:`DRIFT_WINDOW`-th the
+        run makes its one re-placement decision, priced after that turn's
+        first iteration, and the loop stops counting.
+
         A stretch is one iteration while a sequence prefills or right after
         a dynamic re-placement moved experts.  Otherwise the batch is
         frozen up to the next finish (the stretch's last iteration), and
@@ -1025,7 +997,10 @@ class ServingEngine:
         multi = num_devices > 1
         disagg = self._disagg
         swap_mode = scheduler.config.preempt_mode == "swap"
-        drift = self._drift
+        # Distinct compositions left before the re-placement decision (0:
+        # decided, or re-placement is off), and the last one counted.
+        threshold = self.config.replacement_threshold
+        drift_left = DRIFT_WINDOW if threshold is not None else 0
         last_ckey = None
         cost_model = self.cost_model
         block_manager = self.block_manager
@@ -1104,14 +1079,23 @@ class ServingEngine:
             tokens, home_key = tracker.load(chunk)
             cost = cost_model.cost(tokens, home_key)
             stall = 0.0
-            if drift is not None and (tokens, home_key) != last_ckey:
-                # One observation per distinct batch composition, before the
-                # advance (it reads only the token count).
+            if drift_left and (tokens, home_key) != last_ckey:
                 last_ckey = (tokens, home_key)
-                stall = self._observe_routing(tokens, scheduler)
-                if stall:
-                    totals.migration_s += stall
-                    totals.replacements += 1
+                drift_left -= 1
+                if not drift_left:
+                    # Re-pack the layers whose true routing drifted from the
+                    # profile; this turn is priced by the old layout.
+                    assert threshold is not None and cost_model.layers is not None
+                    moved = cost_model.repack(cost_model.layers.layer_frequencies, threshold)
+                    if moved:
+                        # The new epoch is stamped onto later admissions.
+                        scheduler.placement_epoch = cost_model.epoch
+                        stall = expert_migration_seconds(
+                            moved, self._expert_layer_bytes,
+                            self.backend.device.interconnect_bandwidth,
+                        )
+                        totals.migration_s += stall
+                        totals.replacements += 1
             if stall or tracker.walked:
                 # A re-placement reprices the next iteration (its stall lands
                 # after this one); a prefill chunk changes every iteration.
@@ -1229,20 +1213,19 @@ class ServingEngine:
         overlap: dict | None = None,
         migration: dict | None = None,
         *,
-        first_submitted: float | None = None,
-        num_submitted: int | None = None,
+        first_submitted: float,
+        num_submitted: int,
     ) -> ServingReport:
         finished = scheduler.finished
         records: list[dict] = []
         terminal = finished + scheduler.rejected + scheduler.stranded
-        if num_submitted is not None:
-            # Conservation: every submitted request must land in exactly one
-            # terminal state — nothing may silently vanish from the report.
-            assert len(terminal) == num_submitted, (
-                f"request accounting leak: {len(scheduler.finished)} finished + "
-                f"{len(scheduler.rejected)} rejected + {len(scheduler.stranded)} "
-                f"stranded != {num_submitted} submitted"
-            )
+        # Conservation: every submitted request must land in exactly one
+        # terminal state — nothing may silently vanish from the report.
+        assert len(terminal) == num_submitted, (
+            f"request accounting leak: {len(scheduler.finished)} finished + "
+            f"{len(scheduler.rejected)} rejected + {len(scheduler.stranded)} "
+            f"stranded != {num_submitted} submitted"
+        )
         multi_device = len(self.device_group) > 1
         # Summary lists keep *finish order* (their float reduction order is
         # pinned by the goldens), so the records are built in that order,
@@ -1290,8 +1273,6 @@ class ServingEngine:
             # (not the first finished one): when early arrivals are rejected
             # or load-shed, the system was already accepting traffic, and
             # shrinking the window to the survivors overstates throughput.
-            if first_submitted is None:
-                first_submitted = min(s.request.arrival_time for s in finished)
             last_finish = max(s.finish_time for s in finished)
             makespan = max(last_finish - first_submitted, 1e-12)
             qps = len(finished) / makespan

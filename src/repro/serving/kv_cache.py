@@ -64,7 +64,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "KVCacheExhausted",
-    "KVOverdraw",
     "BlockManager",
     "AllocationPolicy",
     "ReservationPolicy",
@@ -85,16 +84,6 @@ class KVCacheExhausted(RuntimeError):
     correctly-behaving engine this never propagates to callers; it exists to
     make scheduler violations loud in tests rather than silently corrupting
     the accounting.
-    """
-
-
-class KVOverdraw(KVCacheExhausted):
-    """Raised when growth asks for more blocks than are free.
-
-    Unlike the other :class:`KVCacheExhausted` cases (an unknown or
-    duplicate sequence, a broken pool invariant), an over-draw leaves the
-    pool as it was.  The bulk grant (:func:`grow_pools`) does not raise it:
-    it declines instead, and the scheduler falls back to preemption.
     """
 
 
@@ -560,7 +549,7 @@ class BlockManager:
         if num_blocks <= 0:
             raise ValueError("num_blocks must be positive")
         if num_blocks > self.free_blocks:
-            raise KVOverdraw(
+            raise KVCacheExhausted(
                 f"need {num_blocks} more blocks for sequence {seq_id} but only "
                 f"{self.free_blocks}/{self._num_blocks} are free"
             )
@@ -768,7 +757,7 @@ class AllocationPolicy(abc.ABC):
     """Decides when KV blocks are taken from / returned to the physical pool.
 
     The scheduler consults the policy at three points: request intake
-    (:meth:`fits_at_all`), admission (:meth:`can_admit` / :meth:`admit`) and
+    (:meth:`fits_at_all`), admission (:meth:`admit_device` / :meth:`admit`) and
     iteration boundaries, which only a growing policy exercises.  At a
     boundary the scheduler first offers the policy every due sequence at
     once (:meth:`grow_due`): the policy plans each one's deficit and, when
@@ -822,10 +811,6 @@ class AllocationPolicy(abc.ABC):
     def _admit_tokens(self, seq: Sequence) -> int:
         """KV tokens the admission-time allocation must cover."""
         return seq.request.total_tokens
-
-    def can_admit(self, seq: Sequence) -> bool:
-        """Whether the pool currently has room to admit the sequence."""
-        return self.admit_device(seq) is not None
 
     def admit_device(self, seq: Sequence) -> int | None:
         """The device the pool would admit the sequence on now (``None``: no

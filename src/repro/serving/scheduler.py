@@ -763,7 +763,7 @@ class ContinuousBatchingScheduler:
         head = self.waiting.peek()
         if self.decode_pool is not None:
             self._steer(head)
-        fits = self.allocation.can_admit(head)
+        fits = self.allocation.admit_device(head) is not None
         if self.decode_pool is not None:
             self.block_manager.admit_devices = self.prefill_pool
         if fits or self._sheds(head):

@@ -9,7 +9,9 @@ sequences, and grows each due sequence with its own
 tracker tracks nothing), calls ``admit`` and ``ensure_capacity`` at every iteration
 boundary, and never macro-steps.  It is priced by the per-mode cost
 functions of ``cost_reference`` (the two overlap ones in their one-pass
-form) rather than the engine's ``CostModel``.  The equivalence tests run
+form) rather than the engine's ``CostModel``, and it checks for routing
+drift every ``DRIFT_WINDOW`` distinct batch compositions where the engine
+decides re-placement once per run.  The equivalence tests run
 the engine against it and require byte-identical reports, trace streams
 and metrics streams.
 """
@@ -17,9 +19,9 @@ and metrics streams.
 from __future__ import annotations
 
 from repro.serving import ContinuousBatchingScheduler, Request, ServingEngine
-from repro.serving.cluster import split_tokens
+from repro.serving.cluster import expert_migration_seconds, split_tokens
 from repro.serving.cost import IterationCost
-from repro.serving.engine import RunTotals, overlap_step_seconds
+from repro.serving.engine import DRIFT_WINDOW, RunTotals, overlap_step_seconds
 from repro.serving.request import RequestState, Sequence
 from repro.serving.scheduler import DecodeTracker
 
@@ -319,7 +321,9 @@ class ReferenceEngine(ReferenceCosts, ServingEngine):
         disagg = self._disagg
         swap_mode = scheduler.config.preempt_mode == "swap"
         rebalance_pool = disagg and len(scheduler.decode_pool) > 1
-        drift = self._drift if overlap_mode else None
+        threshold = self.config.replacement_threshold
+        # Distinct consecutive compositions since the last drift check.
+        window = 0
         last_ckey = None
         block_manager = self.block_manager
         finished_state = RequestState.FINISHED
@@ -416,20 +420,31 @@ class ReferenceEngine(ReferenceCosts, ServingEngine):
             clock += step
             iterations += 1
             total_tokens += tokens
-            if drift is not None:
-                # One observation per distinct batch composition — the fast
-                # path's macro-stepped iterations repeat the same (tokens,
-                # home) key and never observe, so the two loops agree.
+            if threshold is not None:
+                # A periodic drift check every DRIFT_WINDOW distinct
+                # consecutive batch compositions, re-packing for the true
+                # routing rows each time (the engine decides once per run;
+                # a repeated check must move nothing).
                 ckey = (tokens, home_key)
                 if ckey != last_ckey:
                     last_ckey = ckey
-                    stall = self._observe_routing(tokens, scheduler)
-                    if stall:
-                        clock += stall
-                        migration_s += stall
-                        replacements += 1
-                        if tracer is not None:
-                            iter_stall = stall
+                    window += 1
+                    if window == DRIFT_WINDOW:
+                        window = 0
+                        moved = self.cost_model.repack(
+                            self.layered_placement.layer_frequencies, threshold
+                        )
+                        if moved:
+                            scheduler.placement_epoch = self._placement_epoch
+                            stall = expert_migration_seconds(
+                                moved, self._expert_layer_bytes,
+                                self.backend.device.interconnect_bandwidth,
+                            )
+                            clock += stall
+                            migration_s += stall
+                            replacements += 1
+                            if tracer is not None:
+                                iter_stall = stall
             batch = len(running)
             if tracer is not None:
                 if multi:

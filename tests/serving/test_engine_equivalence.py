@@ -63,8 +63,9 @@ CONFIGS = {
     "reserve_4dev": dict(devices=4),
     "reserve_reject": dict(admission="reject", max_batch_size=8),
     "reserve_chunked": dict(prefill_chunk=32),
-    # Overlap-aware layered cost model: epoch-keyed cost memo, per-layer
-    # placements, drift observation interleaved with stretches.
+    # Overlap-aware layered cost model: the cost memo a re-placement
+    # clears, per-layer placements, the re-placement decision interleaved
+    # with stretches.
     "overlap_4dev": dict(devices=4, overlap=True),
     "overlap_replace": dict(devices=2, overlap=True, replacement_threshold=0.05),
     # Swap preemption under reservation: reserve never preempts, so the

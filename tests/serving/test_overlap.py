@@ -12,12 +12,15 @@ Three claims of the ``--overlap`` engine mode are pinned here:
   the layered step reproduces the no-overlap accumulation
   ``sum_l (compute_l + comm_{l-1})`` exactly (same float operations:
   ``x - 0.0 == x`` in IEEE arithmetic);
-* **dynamic re-placement** — with a ``replacement_threshold`` the drift
-  window re-packs layers whose measured routing drifted from the profile,
-  charges a migration stall to the clock, bumps the placement epoch stamped
-  onto later admissions, and stays byte-identical to the reference loop
-  (covered in ``test_engine_equivalence.py``) and across repeated
-  ``run()`` calls on one engine.
+* **dynamic re-placement** — with a ``replacement_threshold`` each run
+  makes one decision (one ``CostModel.repack`` call, after ``DRIFT_WINDOW``
+  distinct batch compositions) that re-packs the layers whose normalized
+  true routing drifted from the profile, so scaled routing rows re-place
+  exactly like unscaled ones; it charges a migration stall to the clock,
+  bumps the placement epoch stamped onto later admissions, and stays
+  byte-identical to the reference loop's periodic drift window (covered in
+  ``test_engine_equivalence.py``) and across repeated ``run()`` calls on
+  one engine.
 """
 
 import dataclasses
@@ -36,6 +39,7 @@ from repro.serving import (
     overlap_step_seconds,
     poisson_workload,
 )
+from repro.serving.cost import CostModel
 
 MODEL = "mixtral-8x7b"
 
@@ -155,15 +159,15 @@ def test_efficiency_zero_report_hides_nothing_and_is_slowest():
     assert hidden["sim_time_s"] <= unhidden["sim_time_s"]
 
 
+REPLACE_WORKLOAD = dict(num_requests=120, qps=40.0, seed=32, mean_new_tokens=64)
+REPLACE_CONFIG = dict(
+    placement="frequency", kv_policy="ondemand", max_batch_size=1000
+)
+
+
 def test_replacement_triggers_and_stamps_epochs():
-    engine = make_engine(
-        0.9,
-        placement="frequency",
-        kv_policy="ondemand",
-        max_batch_size=1000,
-        replacement_threshold=0.05,
-    )
-    workload = poisson_workload(num_requests=120, qps=40.0, seed=32, mean_new_tokens=64)
+    engine = make_engine(0.9, replacement_threshold=0.05, **REPLACE_CONFIG)
+    workload = poisson_workload(**REPLACE_WORKLOAD)
     report = engine.run(workload).to_dict()
     section = report["overlap"]
     assert section["replacements"] >= 1
@@ -177,6 +181,48 @@ def test_replacement_triggers_and_stamps_epochs():
     # report byte-identically (run-to-run determinism).
     again = engine.run(workload).to_dict()
     assert json.dumps(again, sort_keys=True) == json.dumps(report, sort_keys=True)
+
+
+def test_scaled_layer_frequencies_replace_like_unscaled():
+    # Re-placement compares the normalized routing rows, so scaling every
+    # row (by a power of two, which normalizes exactly) must not change a
+    # byte of the report.
+    rows = fig3_layer_frequencies(32, 8)
+    reports = [
+        json.dumps(
+            make_engine(
+                layer_frequencies=tuple(tuple(float(f) * scale for f in row) for row in rows),
+                replacement_threshold=0.9,
+                **REPLACE_CONFIG,
+            ).run(poisson_workload(**REPLACE_WORKLOAD)).to_dict(),
+            sort_keys=True,
+        )
+        for scale in (1.0, 4.0)
+    ]
+    assert reports[0] == reports[1]
+
+
+def test_replacement_is_one_decision_per_run(monkeypatch):
+    calls = []
+    repack = CostModel.repack
+
+    def counting_repack(self, measured, threshold):
+        calls.append(threshold)
+        return repack(self, measured, threshold)
+
+    monkeypatch.setattr(CostModel, "repack", counting_repack)
+    engine = make_engine(0.9, replacement_threshold=0.05, **REPLACE_CONFIG)
+    workload = poisson_workload(**REPLACE_WORKLOAD)
+    report = json.dumps(engine.run(workload).to_dict(), sort_keys=True)
+    assert calls == [0.05]
+    again = json.dumps(engine.run(workload).to_dict(), sort_keys=True)
+    assert calls == [0.05, 0.05]
+    assert again == report
+    # Two requests never make DRIFT_WINDOW distinct batch compositions.
+    calls.clear()
+    short = poisson_workload(num_requests=2, qps=40.0, seed=32, mean_new_tokens=8)
+    assert engine.run(short).overlap["replacements"] == 0
+    assert calls == []
 
 
 def test_overlap_without_replacement_has_no_epoch_drift():
